@@ -9,11 +9,18 @@
 // answers both directions: value_at(real time) and time_when(clock value)
 // (the latter is what the simulator uses to schedule "every delta_h of
 // hardware time" broadcasts as real-time events).
+//
+// A walk holds no random engine.  It keeps its seed and the number of raw
+// engine outputs its segments have consumed; extending it re-seeds a
+// per-thread engine, skips those outputs, and appends a block of segments
+// as long as the walk so far.  The draws are the ones a single sequential
+// engine would make, so the trajectory is a pure function of the seed,
+// and the per-clock state is a few words plus the segments.
 #ifndef GCS_CLK_CLOCK_HPP
 #define GCS_CLK_CLOCK_HPP
 
+#include <cstddef>
 #include <cstdint>
-#include <random>
 #include <vector>
 
 namespace gcs::clk {
@@ -28,9 +35,10 @@ class RateSchedule {
 
   // Random-walk drift: the rate starts at `start_rate`, and every
   // `step_dt` seconds of real time takes a Gaussian step with deviation
-  // `sigma`, clamped to [1 - rho, 1 + rho].  Deterministic per seed;
-  // segments are generated lazily as the simulation queries further into
-  // the future.
+  // `sigma`, clamped to [1 - rho, 1 + rho].  Deterministic per seed: step
+  // k is the k-th draw of a fresh std::normal_distribution from one
+  // std::mt19937_64(seed).  Segments are generated lazily as the
+  // simulation queries further into the future.
   static RateSchedule random_walk(double rho, double step_dt, double sigma,
                                   std::uint64_t seed, double start_rate = 1.0);
 
@@ -47,18 +55,25 @@ class RateSchedule {
     double rate;  // clock rate during [t0, next.t0)
   };
 
-  // Ensures segments cover real time `t` / clock value `v`.
-  void extend_to_time(double t) const;
-  void extend_to_value(double v) const;
-  void push_next_segment() const;
+  // The segment covering real time `t` / clock value `v`, extending the
+  // walk as needed.
+  const Segment& segment_at_time(double t) const;
+  const Segment& segment_at_value(double v) const;
+  // The last segment whose `key` is <= x: the cursor's segment or the one
+  // after it in O(1), otherwise a binary search.  Moves the cursor there.
+  const Segment& locate(double x, double Segment::*key) const;
+  // Regenerates the walk's engine position and appends the next block.
+  void append_block() const;
 
   mutable std::vector<Segment> segments_;
-  bool walk_ = false;
+  mutable std::size_t cursor_ = 0;
+  mutable std::uint64_t draws_ = 0;  // raw engine outputs consumed so far
+  std::uint64_t seed_ = 0;
   double lo_ = 1.0;
   double hi_ = 1.0;
   double step_dt_ = 1.0;
   double sigma_ = 0.0;
-  mutable std::mt19937_64 gen_{0};
+  bool walk_ = false;
 };
 
 // A hardware clock starting at value 0 at real time 0, advancing at the

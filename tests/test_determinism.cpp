@@ -314,6 +314,18 @@ TEST(DeterminismMatrixSharded, GaussMarkovScenario) {
       40.0);
 }
 
+// Like every case here this runs walk drift under a random delay
+// (uniform over [0.25, 1]), the cell shape where both lazy states do real
+// work on the shard threads: each node's delay stream creates its engine
+// on its first send, and each walk regenerates its blocks from (seed,
+// draws) on whichever thread owns the node.  The longer horizon takes
+// every walk across several blocks.
+TEST(DeterminismMatrixSharded, LongChurnScenarioCrossesWalkBlocks) {
+  gcs::util::Rng rng(11);
+  expect_identical_across_shard_counts(
+      gcs::net::make_churn_scenario(48, 24, 6.0, 120.0, rng), 120.0);
+}
+
 TEST(DeterminismMatrixSharded, MoreShardsThanNodesClampsAndStaysInvariant) {
   // shards > n must not break anything: the simulator clamps to one
   // shard per node and the trajectory stays the reference one.
