@@ -1,9 +1,13 @@
 #include "core/dcsa_columns.hpp"
 
+#include <algorithm>
+#include <type_traits>
+
 namespace gcs::core {
 
-DcsaColumns::DcsaColumns(const SyncParams& params, std::size_t n)
-    : bfunc_(params), kappa_((1.0 - params.rho) / (1.0 + params.rho)) {
+DcsaColumns::DcsaColumns(const SyncParams& params, std::size_t n,
+                         Variant variant)
+    : kernel_(params, BFunction(params), variant) {
   offset_.assign(n, 0.0);
   fast_.assign(n, 0);
   head_.assign(n, 0);
@@ -33,18 +37,10 @@ void DcsaColumns::reserve_slot(NodeId u) {
   const std::uint32_t old_count = count_[u];
   const std::uint32_t new_cap = cap_[u] ? cap_[u] * 2 : kInitialCap;
   const std::uint32_t new_head = static_cast<std::uint32_t>(slot_peer_.size());
-  slot_peer_.resize(new_head + new_cap);
-  slot_hw_up_.resize(new_head + new_cap);
-  slot_has_est_.resize(new_head + new_cap);
-  slot_value_.resize(new_head + new_cap);
-  slot_hw_recv_.resize(new_head + new_cap);
-  for (std::uint32_t i = 0; i < old_count; ++i) {
-    slot_peer_[new_head + i] = slot_peer_[old_head + i];
-    slot_hw_up_[new_head + i] = slot_hw_up_[old_head + i];
-    slot_has_est_[new_head + i] = slot_has_est_[old_head + i];
-    slot_value_[new_head + i] = slot_value_[old_head + i];
-    slot_hw_recv_[new_head + i] = slot_hw_recv_[old_head + i];
-  }
+  each_column([&](auto& col) {
+    col.resize(new_head + new_cap);
+    std::copy_n(col.begin() + old_head, old_count, col.begin() + new_head);
+  });
   hole_slots_ += cap_[u];
   head_[u] = new_head;
   cap_[u] = new_cap;
@@ -66,29 +62,21 @@ void DcsaColumns::maybe_compact() {
   if (hole_slots_ < 4096 || hole_slots_ * 4 < slot_peer_.size()) return;
   std::size_t packed = 0;
   for (std::size_t u = 0; u < cap_.size(); ++u) packed += cap_[u];
-  std::vector<NodeId> peer(packed);
-  std::vector<double> hw_up(packed);
-  std::vector<std::uint8_t> has_est(packed);
-  std::vector<double> value(packed);
-  std::vector<double> hw_recv(packed);
+  // Segments are packed in node order, one column at a time.
+  each_column([&](auto& col) {
+    std::decay_t<decltype(col)> out(packed);
+    std::uint32_t next = 0;
+    for (std::size_t u = 0; u < cap_.size(); ++u) {
+      std::copy_n(col.begin() + head_[u], count_[u], out.begin() + next);
+      next += cap_[u];
+    }
+    col = std::move(out);
+  });
   std::uint32_t next = 0;
   for (std::size_t u = 0; u < cap_.size(); ++u) {
-    const std::uint32_t old_head = head_[u];
-    for (std::uint32_t i = 0; i < count_[u]; ++i) {
-      peer[next + i] = slot_peer_[old_head + i];
-      hw_up[next + i] = slot_hw_up_[old_head + i];
-      has_est[next + i] = slot_has_est_[old_head + i];
-      value[next + i] = slot_value_[old_head + i];
-      hw_recv[next + i] = slot_hw_recv_[old_head + i];
-    }
     head_[u] = next;
     next += cap_[u];
   }
-  slot_peer_ = std::move(peer);
-  slot_hw_up_ = std::move(hw_up);
-  slot_has_est_ = std::move(has_est);
-  slot_value_ = std::move(value);
-  slot_hw_recv_ = std::move(hw_recv);
   hole_slots_ = 0;
 }
 
@@ -115,54 +103,9 @@ void DcsaColumns::edge_down(const NodeContext& ctx, NodeId peer) {
   if (s == kNpos) return;
   // Swap-remove within the segment; segment order is free (see header).
   const std::uint32_t last = head_[u] + count_[u] - 1;
-  if (s != last) {
-    slot_peer_[s] = slot_peer_[last];
-    slot_hw_up_[s] = slot_hw_up_[last];
-    slot_has_est_[s] = slot_has_est_[last];
-    slot_value_[s] = slot_value_[last];
-    slot_hw_recv_[s] = slot_hw_recv_[last];
-  }
+  each_column([&](auto& col) { col[s] = col[last]; });
   --count_[u];
   --live_slots_;
-}
-
-double DcsaColumns::apply_delivery(const StoreDelivery& d) {
-  const NodeId u = d.to;
-  const double hw_now = d.hw_now;
-  // --- on_message: keep the strongest lower bound (DcsaNode verbatim).
-  const std::uint32_t s = find_slot(u, d.from);
-  if (s != kNpos) {
-    if (!(slot_has_est_[s] && estimate_low(s, hw_now) >= d.value)) {
-      slot_value_[s] = d.value;
-      slot_hw_recv_[s] = hw_now;
-      slot_has_est_[s] = 1;
-    }
-  }
-  // --- step: jump rule over the segment.  Same per-slot arithmetic and
-  // the same compare-and-select forms as DcsaNode::step; the folds are
-  // order-independent, so segment order vs. map order cannot matter.
-  const double logical = hw_now + offset_[u];
-  const std::uint32_t head = head_[u];
-  const std::uint32_t end = head + count_[u];
-  double target = logical;
-  for (std::uint32_t i = head; i < end; ++i) {
-    if (!slot_has_est_[i]) continue;
-    const double est = estimate_low(i, hw_now);
-    target = target > est ? target : est;
-  }
-  fast_[u] = target > logical ? 1 : 0;
-  double cap = target;
-  for (std::uint32_t i = head; i < end; ++i) {
-    if (!slot_has_est_[i]) continue;  // covered by B(0) > G(n)
-    const double allowed =
-        estimate_low(i, hw_now) + bfunc_(hw_now - slot_hw_up_[i]);
-    cap = cap < allowed ? cap : allowed;
-  }
-  if (cap > logical) {
-    offset_[u] += cap - logical;
-    return cap - logical;
-  }
-  return 0.0;
 }
 
 void DcsaColumns::on_deliveries(const StoreDelivery* batch, std::size_t count,
@@ -170,7 +113,22 @@ void DcsaColumns::on_deliveries(const StoreDelivery* batch, std::size_t count,
   for (std::size_t i = 0; i < count; ++i) {
     const StoreDelivery& d = batch[i];
     sink.before(d);
-    sink.after(d, apply_delivery(d));
+    const NodeId u = d.to;
+    const std::uint32_t s = find_slot(u, d.from);
+    if (s != kNpos && kernel_.adopts(slot(s), d.hw_now, d.value)) {
+      slot_value_[s] = d.value;
+      slot_hw_recv_[s] = d.hw_now;
+      slot_has_est_[s] = 1;
+    }
+    const std::uint32_t head = head_[u];
+    const std::uint32_t end = head + count_[u];
+    bool fast = false;
+    const double jump =
+        kernel_.step(d.hw_now, offset_[u], fast, [&](const auto& f) {
+          for (std::uint32_t k = head; k < end; ++k) f(slot(k));
+        });
+    fast_[u] = fast ? 1 : 0;
+    sink.after(d, jump);
   }
 }
 

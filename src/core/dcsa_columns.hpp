@@ -7,21 +7,19 @@
 // columns {peer, hw_up, has_estimate, value, hw_recv}.  Segments grow
 // by relocation to the arena tail (amortized doubling) and the arena
 // compacts when abandoned holes pile up past a quarter of it, so a
-// million-node churn run
-// costs a handful of contiguous allocations instead of a million
-// std::map instances.
+// million-node churn run costs a handful of contiguous allocations
+// instead of a million std::map instances.
 //
 // Peer lookup is a linear scan of the segment: DCSA degree is bounded
 // in every scaling workload (ring backbones plus volatile edges), and
 // for single-digit degrees the scan beats any hash on both time and
 // memory.  Segment order is insertion order, NOT peer order -- valid
-// because step()'s min/max folds and on_message's single-slot update
-// are iteration-order independent, so trajectories stay byte-identical
-// to DcsaNode behind AutomatonStore (the equivalence matrix proves it).
+// because DcsaKernel's folds and on_message's single-slot update are
+// iteration-order independent, so trajectories stay byte-identical to
+// DcsaNode behind AutomatonStore (the equivalence matrix proves it).
 //
-// The arithmetic is copied expression-for-expression from DcsaNode:
-// est_low = value + kappa * (hw_now - hw_recv); target/cap folds use
-// the same comparison-and-select forms.  Change one only with the other.
+// The arithmetic is DcsaKernel's, the code DcsaNode runs, so every
+// Variant runs here (the weighted variant's weight is uniform).
 #ifndef GCS_CORE_DCSA_COLUMNS_HPP
 #define GCS_CORE_DCSA_COLUMNS_HPP
 
@@ -29,6 +27,7 @@
 #include <vector>
 
 #include "core/bfunc.hpp"
+#include "core/dcsa_kernel.hpp"
 #include "core/node_store.hpp"
 #include "core/params.hpp"
 
@@ -36,7 +35,8 @@ namespace gcs::core {
 
 class DcsaColumns : public NodeStore {
  public:
-  DcsaColumns(const SyncParams& params, std::size_t n);
+  DcsaColumns(const SyncParams& params, std::size_t n,
+              Variant variant = Variant{});
 
   std::size_t size() const override { return offset_.size(); }
   void start(const NodeContext& ctx) override;
@@ -52,7 +52,6 @@ class DcsaColumns : public NodeStore {
   bool fast_mode(NodeId u) const override { return fast_[u] != 0; }
   std::size_t arena_bytes() const override;
 
-  const BFunction& tolerance_fn() const { return bfunc_; }
   // Live peer-slot count across all segments (tests/diagnostics).
   std::size_t live_slots() const { return live_slots_; }
 
@@ -65,15 +64,22 @@ class DcsaColumns : public NodeStore {
   // Ensure u's segment has room for one more slot (relocate/grow).
   void reserve_slot(NodeId u);
   void maybe_compact();
-
-  double estimate_low(std::uint32_t s, double hw_now) const {
-    return slot_value_[s] + kappa_ * (hw_now - slot_hw_recv_[s]);
+  // Applies f to each parallel column of the slot arena.
+  template <class F>
+  void each_column(const F& f) {
+    f(slot_peer_);
+    f(slot_hw_up_);
+    f(slot_has_est_);
+    f(slot_value_);
+    f(slot_hw_recv_);
   }
-  // on_message + step for one record; returns the jump applied.
-  double apply_delivery(const StoreDelivery& d);
 
-  BFunction bfunc_;
-  double kappa_;
+  PeerSlot slot(std::uint32_t s) const {
+    return PeerSlot{slot_hw_up_[s], slot_has_est_[s] != 0, slot_value_[s],
+                    slot_hw_recv_[s], kernel_.variant().weight};
+  }
+
+  DcsaKernel kernel_;
 
   // Per-node columns.
   std::vector<double> offset_;

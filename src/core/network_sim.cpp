@@ -103,15 +103,8 @@ NetworkSimulation::NetworkSimulation(const SyncParams& params,
                                      net::DynamicGraph graph,
                                      net::LinkModel link,
                                      std::vector<clk::RateSchedule> schedules,
-                                     SimOptions options)
-    : NetworkSimulation(params, std::move(graph), std::move(link),
-                        std::move(schedules), NodeFactory{}, options) {}
-
-NetworkSimulation::NetworkSimulation(const SyncParams& params,
-                                     net::DynamicGraph graph,
-                                     net::LinkModel link,
-                                     std::vector<clk::RateSchedule> schedules,
-                                     NodeFactory factory, SimOptions options)
+                                     NodeFactory factory, SimOptions options,
+                                     Variant variant)
     : params_(params),
       bfunc_(params),
       link_(std::move(link)),
@@ -144,7 +137,7 @@ NetworkSimulation::NetworkSimulation(const SyncParams& params,
     }
     store_ = std::make_unique<AutomatonStore>(std::move(nodes));
   } else {
-    store_ = std::make_unique<DcsaColumns>(params_, n);
+    store_ = std::make_unique<DcsaColumns>(params_, n, variant);
   }
   for (std::size_t i = 0; i < n; ++i) {
     store_->start(NodeContext{static_cast<NodeId>(i),

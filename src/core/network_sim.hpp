@@ -38,6 +38,7 @@
 
 #include "clk/clock.hpp"
 #include "core/bfunc.hpp"
+#include "core/dcsa_kernel.hpp"
 #include "core/node_automaton.hpp"
 #include "core/node_store.hpp"
 #include "core/params.hpp"
@@ -140,24 +141,31 @@ class NetworkSimulation {
   using NodeFactory =
       std::function<std::unique_ptr<NodeAutomaton>(NodeId)>;
 
-  // Adapter-store constructor: one virtual NodeAutomaton per node from
-  // `factory` (custom protocol variants, weighted tolerances, benches).
-  // The LinkModel is implicitly constructible from a bare DelayModel
-  // (an ideal link with no traffic pipeline), so the pre-pipeline call
-  // sites read -- and behave -- exactly as before.
+  // The node store is the adapter (AutomatonStore) over one virtual
+  // NodeAutomaton per node from `factory` when one is given (custom
+  // automatons, benches), else core::DcsaColumns flat arenas running
+  // `variant` -- the default for scale.  Trajectories are
+  // byte-identical to the adapter store running DcsaNode with the same
+  // variant (the equivalence matrix enforces it); only
+  // RunStats::arena_bytes differs.  The LinkModel is implicitly
+  // constructible from a bare DelayModel (an ideal link with no traffic
+  // pipeline), so the pre-pipeline call sites read -- and behave --
+  // exactly as before.
   NetworkSimulation(const SyncParams& params, net::DynamicGraph graph,
                     net::LinkModel link,
                     std::vector<clk::RateSchedule> schedules,
-                    NodeFactory factory, SimOptions options = SimOptions{});
+                    NodeFactory factory, SimOptions options = SimOptions{},
+                    Variant variant = Variant{});
 
-  // Columns-store constructor: plain DCSA in core::DcsaColumns flat
-  // arenas -- the default for scale.  Trajectories are byte-identical
-  // to the adapter store running DcsaNode (the equivalence matrix
-  // enforces it); only RunStats::arena_bytes differs.
+  // Columns-store shorthand.
   NetworkSimulation(const SyncParams& params, net::DynamicGraph graph,
                     net::LinkModel link,
                     std::vector<clk::RateSchedule> schedules,
-                    SimOptions options = SimOptions{});
+                    SimOptions options = SimOptions{},
+                    Variant variant = Variant{})
+      : NetworkSimulation(params, std::move(graph), std::move(link),
+                          std::move(schedules), NodeFactory{}, options,
+                          variant) {}
 
   NetworkSimulation(const NetworkSimulation&) = delete;
   NetworkSimulation& operator=(const NetworkSimulation&) = delete;

@@ -3,9 +3,9 @@
 // NetworkSimulation is protocol-agnostic: it owns clocks, edges, and
 // message delivery, and drives node state through the batch-oriented
 // NodeStore interface (node_store.hpp).  A NodeAutomaton is the
-// per-node, virtual-dispatch flavour of that contract, kept for custom
-// protocol variants (WeightedDcsaNode, bench_ablation's crippled
-// tolerances); AutomatonStore adapts a vector of these onto the store
+// per-node, virtual-dispatch flavour of that contract (DcsaNode, the
+// reference the columns store is held to, and bench_ablation's custom
+// automatons); AutomatonStore adapts a vector of these onto the store
 // interface the simulator actually calls.
 //
 // Every callback receives one NodeContext instead of loose

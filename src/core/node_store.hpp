@@ -8,14 +8,16 @@
 // around each record so the simulator can emit traces, statistics, and
 // conformance checks at EXACTLY the points the per-node path emitted
 // them.  Trajectory bytes are the contract: a store must apply records
-// in batch order, and the per-record arithmetic must match DcsaNode's.
+// in batch order, and the per-record arithmetic is DcsaKernel's
+// (dcsa_kernel.hpp).
 //
 // Two implementations:
 //   * DcsaColumns (dcsa_columns.hpp) -- flat struct-of-arrays state for
-//     plain DCSA, the default and the reason this interface exists.
+//     every DCSA variant, the default and the reason this interface
+//     exists.
 //   * AutomatonStore (below) -- adapts a vector of virtual
-//     NodeAutomatons, so custom protocol variants (WeightedDcsaNode,
-//     bench_ablation's crippled tolerances) keep working unchanged.
+//     NodeAutomatons: the reference path the equivalence matrices
+//     compare against, and home to bench_ablation's custom automatons.
 #ifndef GCS_CORE_NODE_STORE_HPP
 #define GCS_CORE_NODE_STORE_HPP
 

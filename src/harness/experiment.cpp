@@ -7,11 +7,10 @@
 #include <utility>
 #include <vector>
 
-#include "core/ablation_variants.hpp"
 #include "core/dcsa_node.hpp"
-#include "core/weighted_dcsa_node.hpp"
 #include "net/link.hpp"
 #include "net/topology.hpp"
+#include "util/number.hpp"
 
 namespace gcs::harness {
 
@@ -57,43 +56,50 @@ std::vector<clk::RateSchedule> build_schedules(const ExperimentConfig& cfg) {
   return schedules;
 }
 
+double spec_number(const std::string& text) {
+  double v = 0.0;
+  if (!util::parse_double(text, &v)) {
+    throw std::invalid_argument("'" + text + "' is not a number");
+  }
+  return v;
+}
+
 net::DelayModel build_delay(const ExperimentConfig& cfg) {
   const double T = cfg.params.T;
-  const std::string kUniform = "uniform";
-  if (cfg.delay.rfind(kUniform, 0) == 0 &&
-      (cfg.delay.size() == kUniform.size() ||
-       cfg.delay[kUniform.size()] == ':')) {
+  const std::size_t colon = cfg.delay.find(':');
+  const std::string kind = cfg.delay.substr(0, colon);
+  const std::string rest =
+      colon == std::string::npos ? "" : cfg.delay.substr(colon + 1);
+  if (kind == "uniform") {
     // "uniform" = [0, T]; "uniform:lo" = [lo, T]; "uniform:lo:hi".  A
     // positive lo gives the delay model the floor sharded runs need.
     double lo = 0.0;
     double hi = T;
-    if (cfg.delay.size() > kUniform.size()) {
-      const std::string rest = cfg.delay.substr(kUniform.size() + 1);
-      const std::size_t colon = rest.find(':');
-      lo = std::stod(rest.substr(0, colon));
-      if (colon != std::string::npos) hi = std::stod(rest.substr(colon + 1));
+    if (colon != std::string::npos) {
+      const std::size_t mid = rest.find(':');
+      lo = spec_number(rest.substr(0, mid));
+      if (mid != std::string::npos) hi = spec_number(rest.substr(mid + 1));
     }
-    if (lo < 0.0) {
-      throw std::invalid_argument("run_experiment: uniform delay lo < 0");
-    }
+    if (lo < 0.0) throw std::invalid_argument("uniform lo < 0");
     return net::make_uniform_delay(T, lo, hi);
   }
-  const std::string kConstant = "constant";
-  if (cfg.delay.rfind(kConstant, 0) == 0) {
-    double value = T;
-    if (cfg.delay.size() > kConstant.size() &&
-        cfg.delay[kConstant.size()] == ':') {
-      value = std::stod(cfg.delay.substr(kConstant.size() + 1));
-    }
-    return net::make_constant_delay(T, value);
+  if (kind == "constant") {
+    return net::make_constant_delay(
+        T, colon == std::string::npos ? T : spec_number(rest));
   }
-  throw std::invalid_argument("run_experiment: unknown delay '" + cfg.delay +
-                              "'");
+  throw std::invalid_argument("unknown delay kind");
 }
 
 net::LinkModel build_link(const ExperimentConfig& cfg) {
+  net::DelayModel delay;
   try {
-    return net::LinkModel(build_delay(cfg), net::parse_traffic(cfg.traffic));
+    delay = build_delay(cfg);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument("run_experiment: delay '" + cfg.delay +
+                                "': " + e.what());
+  }
+  try {
+    return net::LinkModel(std::move(delay), net::parse_traffic(cfg.traffic));
   } catch (const std::invalid_argument& e) {
     throw std::invalid_argument(std::string("run_experiment: ") + e.what());
   }
@@ -111,49 +117,6 @@ bool parse_delivery(const std::string& delivery) {
   if (delivery == "per-receiver") return false;
   throw std::invalid_argument("run_experiment: unknown delivery '" + delivery +
                               "'");
-}
-
-// The per-node automaton factory for the ablation axis.  Only called for
-// the adapter store; "dcsa" is also what the columns arenas implement.
-core::NetworkSimulation::NodeFactory build_node_factory(
-    const ExperimentConfig& cfg) {
-  const core::SyncParams& p = cfg.params;
-  if (cfg.variant == "dcsa") {
-    return [p](core::NodeId) { return std::make_unique<core::DcsaNode>(p); };
-  }
-  const std::string kWeighted = "weighted";
-  if (cfg.variant.rfind(kWeighted, 0) == 0 &&
-      (cfg.variant.size() == kWeighted.size() ||
-       cfg.variant[kWeighted.size()] == ':')) {
-    // "weighted" = uniform weight 0.5; "weighted:w" pins it.  The weight
-    // must be a usable tolerance scale in (0, 1]; WeightedDcsaNode's
-    // min_weight safety clamp is set below any admissible w so the
-    // configured value is what actually runs.
-    double w = 0.5;
-    if (cfg.variant.size() > kWeighted.size()) {
-      w = std::stod(cfg.variant.substr(kWeighted.size() + 1));
-    }
-    if (!(w > 0.0) || w > 1.0) {
-      throw std::invalid_argument(
-          "run_experiment: weighted variant wants a weight in (0, 1], got '" +
-          cfg.variant + "'");
-    }
-    return [p, w](core::NodeId) {
-      return std::make_unique<core::WeightedDcsaNode>(
-          p, [w](core::NodeId, core::NodeId) { return w; },
-          /*min_weight=*/w);
-    };
-  }
-  if (cfg.variant == "noblock") {
-    return
-        [p](core::NodeId) { return std::make_unique<core::NoBlockDcsaNode>(p); };
-  }
-  if (cfg.variant == "nojump") {
-    return
-        [p](core::NodeId) { return std::make_unique<core::NoJumpDcsaNode>(p); };
-  }
-  throw std::invalid_argument("run_experiment: unknown variant '" +
-                              cfg.variant + "'");
 }
 
 }  // namespace
@@ -181,27 +144,19 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
   // "columns" drives DcsaColumns directly; "adapter" runs the identical
   // protocol through per-node DcsaNode objects (the reference path the
   // store-equivalence matrix byte-compares against).
-  std::unique_ptr<core::NetworkSimulation> sim_ptr;
-  if (cfg.store == "columns") {
-    // The flat arenas implement plain DCSA only; a non-default variant
-    // must not silently run the wrong protocol at scale.
-    if (cfg.variant != "dcsa") {
-      throw std::invalid_argument(
-          "run_experiment: variant '" + cfg.variant +
-          "' needs store=\"adapter\" (the columns store runs plain DCSA)");
-    }
-    sim_ptr = std::make_unique<core::NetworkSimulation>(
-        p, scenario.to_dynamic_graph(), build_link(cfg), build_schedules(cfg),
-        options);
-  } else if (cfg.store == "adapter") {
-    sim_ptr = std::make_unique<core::NetworkSimulation>(
-        p, scenario.to_dynamic_graph(), build_link(cfg), build_schedules(cfg),
-        build_node_factory(cfg), options);
-  } else {
+  const core::Variant variant = core::Variant::parse(cfg.variant);
+  core::NetworkSimulation::NodeFactory factory;
+  if (cfg.store == "adapter") {
+    factory = [p, variant](core::NodeId) {
+      return std::make_unique<core::DcsaNode>(p, variant);
+    };
+  } else if (cfg.store != "columns") {
     throw std::invalid_argument("run_experiment: unknown store '" + cfg.store +
                                 "' (expected \"columns\" or \"adapter\")");
   }
-  core::NetworkSimulation& sim = *sim_ptr;
+  core::NetworkSimulation sim(p, scenario.to_dynamic_graph(), build_link(cfg),
+                              build_schedules(cfg), std::move(factory),
+                              options, variant);
 
   ExperimentResult result;
   result.name = cfg.name;

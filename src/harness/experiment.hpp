@@ -78,15 +78,12 @@ struct ExperimentConfig {
   std::string traffic = "off";
   // Protocol variant under test (the ablation axis):
   //   "dcsa"         -- Algorithm 2 as published (the default);
-  //   "weighted[:w]" -- core::WeightedDcsaNode with every edge at uniform
-  //                     tolerance weight w in (0, 1] (default 0.5): matured
-  //                     edges are held to w * b0 instead of b0;
+  //   "weighted[:w]" -- every edge at uniform tolerance weight w in (0, 1]
+  //                     (default 0.5): matured edges are held to w * b0
+  //                     instead of b0;
   //   "noblock"      -- catch-up without the blocking cap;
   //   "nojump"       -- free-running clocks (no catch-up at all).
-  // Every non-default variant runs per-node automatons, so it requires
-  // store == "adapter" (the columns arenas implement plain DCSA only);
-  // run_experiment throws otherwise instead of silently running the
-  // wrong protocol.
+  // Parsed by core::Variant::parse; every variant runs on either store.
   std::string variant = "dcsa";
 
   // Samples fire at sample_dt, 2*sample_dt, ...; the engine executes

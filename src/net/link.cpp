@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "util/number.hpp"
+
 namespace gcs::net {
 
 namespace {
@@ -33,11 +35,7 @@ std::vector<Knob> parse_knobs(const std::string& spec, std::size_t start,
                                   "' is not key=value");
     }
     double value = 0.0;
-    try {
-      std::size_t used = 0;
-      value = std::stod(part.substr(eq + 1), &used);
-      if (used != part.size() - eq - 1) throw std::invalid_argument("trail");
-    } catch (const std::exception&) {
+    if (!util::parse_double(part.substr(eq + 1), &value)) {
       throw std::invalid_argument("traffic '" + spec + "': knob '" + part +
                                   "' has a non-numeric value");
     }

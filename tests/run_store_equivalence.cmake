@@ -2,8 +2,9 @@
 # acceptance): the struct-of-arrays columns store and the per-node
 # adapter store must produce byte-identical result trees across
 # {churn, switching-star, gauss-markov} x {calendar, heap} x
-# {shards 0, 1, 4}, where "identical" is exact except for the two
-# declared store echoes:
+# {shards 0, 1, 4}, plus the variant axis {weighted:0.5, noblock,
+# nojump} x {shards 0, 4} on churn, where "identical" is exact except
+# for the two declared store echoes:
 #
 #   * the "store" value in the config echo ("columns" vs "adapter";
 #     gcs_diff strips it the same way, which the --strict run proves);
@@ -43,6 +44,60 @@ function(read_normalized path out_var)
   set(${out_var} "${text}" PARENT_SCOPE)
 endfunction()
 
+# Runs one matrix point on both stores (extra gcs_run flags in ARGN) and
+# compares the two trees.
+function(check_pair tag)
+  foreach(store columns adapter)
+    execute_process(
+      COMMAND "${GCS_RUN}" --n=12 --drift=walk
+              --delay=constant:0.5 --horizon=30 --sample_dt=1 --seeds=1..2
+              ${ARGN} "--store=${store}"
+              --name=storeeq --check --quiet --fixed-timing
+              --series --trace=256 --out "${OUT_DIR}/${tag}-${store}"
+      RESULT_VARIABLE rc
+      OUTPUT_VARIABLE stdout
+      ERROR_VARIABLE stderr)
+    if(NOT rc EQUAL 0)
+      message(FATAL_ERROR
+              "gcs_run (${tag}-${store}) exited ${rc}\n${stdout}\n${stderr}")
+    endif()
+  endforeach()
+
+  set(COLS "${OUT_DIR}/${tag}-columns")
+  set(ADPT "${OUT_DIR}/${tag}-adapter")
+  file(GLOB_RECURSE tree_files RELATIVE "${COLS}" "${COLS}/*")
+  list(SORT tree_files)
+  list(LENGTH tree_files file_count)
+  if(file_count LESS 9)  # 2 cells x (json + series + trace) + csv + jsonl + summary
+    message(FATAL_ERROR
+            "suspiciously small tree ${tag} (${file_count} files): ${tree_files}")
+  endif()
+  foreach(f ${tree_files})
+    if(NOT EXISTS "${ADPT}/${f}")
+      message(FATAL_ERROR "${tag}: adapter tree is missing ${f}")
+    endif()
+    if(f MATCHES "\\.series\\.csv$" OR f MATCHES "\\.trace\\.jsonl$"
+       OR f MATCHES "campaign\\.csv$")
+      # Trajectory bytes: exact equality, no normalization allowed.
+      execute_process(
+        COMMAND ${CMAKE_COMMAND} -E compare_files
+                "${COLS}/${f}" "${ADPT}/${f}"
+        RESULT_VARIABLE cmp)
+      if(NOT cmp EQUAL 0)
+        message(FATAL_ERROR
+                "${tag}: stores produced different bytes for ${f}")
+      endif()
+    else()
+      read_normalized("${COLS}/${f}" want)
+      read_normalized("${ADPT}/${f}" got)
+      if(NOT want STREQUAL got)
+        message(FATAL_ERROR "${tag}: stores differ in ${f} beyond the "
+                "store/arena_bytes echoes")
+      endif()
+    endif()
+  endforeach()
+endfunction()
+
 set(pairs_checked 0)
 foreach(scenario_spec ${scenarios})
   string(REPLACE "|" ";" scenario_parts "${scenario_spec}")
@@ -50,63 +105,29 @@ foreach(scenario_spec ${scenarios})
   list(GET scenario_parts 1 sc_flag)
   foreach(engine calendar heap)
     foreach(shards 0 1 4)
-      set(tag "${sc_tag}-${engine}-s${shards}")
-      foreach(store columns adapter)
-        execute_process(
-          COMMAND "${GCS_RUN}" --n=12 "--scenario=${sc_flag}" --drift=walk
-                  --delay=constant:0.5 --horizon=30 --sample_dt=1 --seeds=1..2
-                  "--engine=${engine}" "--shards=${shards}" "--store=${store}"
-                  --name=storeeq --check --quiet --fixed-timing
-                  --series --trace=256 --out "${OUT_DIR}/${tag}-${store}"
-          RESULT_VARIABLE rc
-          OUTPUT_VARIABLE stdout
-          ERROR_VARIABLE stderr)
-        if(NOT rc EQUAL 0)
-          message(FATAL_ERROR
-                  "gcs_run (${tag}-${store}) exited ${rc}\n${stdout}\n${stderr}")
-        endif()
-      endforeach()
-
-      set(COLS "${OUT_DIR}/${tag}-columns")
-      set(ADPT "${OUT_DIR}/${tag}-adapter")
-      file(GLOB_RECURSE tree_files RELATIVE "${COLS}" "${COLS}/*")
-      list(SORT tree_files)
-      list(LENGTH tree_files file_count)
-      if(file_count LESS 9)  # 2 cells x (json + series + trace) + csv + jsonl + summary
-        message(FATAL_ERROR
-                "suspiciously small tree ${tag} (${file_count} files): ${tree_files}")
-      endif()
-      foreach(f ${tree_files})
-        if(NOT EXISTS "${ADPT}/${f}")
-          message(FATAL_ERROR "${tag}: adapter tree is missing ${f}")
-        endif()
-        if(f MATCHES "\\.series\\.csv$" OR f MATCHES "\\.trace\\.jsonl$"
-           OR f MATCHES "campaign\\.csv$")
-          # Trajectory bytes: exact equality, no normalization allowed.
-          execute_process(
-            COMMAND ${CMAKE_COMMAND} -E compare_files
-                    "${COLS}/${f}" "${ADPT}/${f}"
-            RESULT_VARIABLE cmp)
-          if(NOT cmp EQUAL 0)
-            message(FATAL_ERROR
-                    "${tag}: stores produced different bytes for ${f}")
-          endif()
-        else()
-          read_normalized("${COLS}/${f}" want)
-          read_normalized("${ADPT}/${f}" got)
-          if(NOT want STREQUAL got)
-            message(FATAL_ERROR "${tag}: stores differ in ${f} beyond the "
-                    "store/arena_bytes echoes")
-          endif()
-        endif()
-      endforeach()
+      check_pair("${sc_tag}-${engine}-s${shards}" "--scenario=${sc_flag}"
+                 "--engine=${engine}" "--shards=${shards}")
       math(EXPR pairs_checked "${pairs_checked} + 1")
     endforeach()
   endforeach()
 endforeach()
 
-if(NOT pairs_checked EQUAL 18)
-  message(FATAL_ERROR "expected 18 matrix points, checked ${pairs_checked}")
+# The variant axis: every ablation protocol runs on the columns store
+# through the same kernel as the adapter's DcsaNode.
+foreach(variant_spec "weighted|weighted:0.5" "noblock|noblock" "nojump|nojump")
+  string(REPLACE "|" ";" variant_parts "${variant_spec}")
+  list(GET variant_parts 0 v_tag)
+  list(GET variant_parts 1 v_flag)
+  foreach(shards 0 4)
+    check_pair("churn-${v_tag}-s${shards}"
+               "--scenario=churn:volatile_edges=6:lifetime=5"
+               "--variant=${v_flag}" "--shards=${shards}")
+    math(EXPR pairs_checked "${pairs_checked} + 1")
+  endforeach()
+endforeach()
+
+if(NOT pairs_checked EQUAL 24)
+  message(FATAL_ERROR "expected 24 matrix points, checked ${pairs_checked}")
 endif()
 
 # gcs_diff --strict agrees: it strips config.store and skips arena_bytes
@@ -144,6 +165,7 @@ if(NOT stdout MATCHES "total_jump")
 endif()
 
 message(STATUS "store equivalence: {churn,switching-star,gauss-markov} x "
-        "{calendar,heap} x {shards 0,1,4} columns/adapter trees identical "
+        "{calendar,heap} x {shards 0,1,4} and {weighted,noblock,nojump} x "
+        "{shards 0,4} columns/adapter trees identical "
         "modulo the declared store echoes (${pairs_checked} matrix points); "
         "gcs_diff gate works")

@@ -85,7 +85,7 @@ TEST(Campaign, TrafficAxisSweepsAndValidatesSpecs) {
 TEST(Campaign, VariantAxisSweepsProtocols) {
   // The ablation axis (campaigns/ablation_frontier.json): every cell
   // carries its protocol variant in config and label, and the defaults
-  // block can pin the adapter store the non-default variants require.
+  // block can pin the store.
   const cli::Campaign campaign = from_text(R"({
     "name": "abl",
     "defaults": {"n": 8, "store": "adapter"},

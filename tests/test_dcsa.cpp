@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/dcsa_columns.hpp"
 #include "core/network_sim.hpp"
@@ -146,46 +148,63 @@ struct JumpSink : gcs::core::DeliverySink {
 };
 
 // The struct-of-arrays store must reproduce DcsaNode's arithmetic bit
-// for bit: same deliveries, same jumps, same logical clocks, same fast
-// flag -- including across edge churn that exercises slot reuse.
+// for bit under every variant: same deliveries, same jumps, same logical
+// clocks, same fast flag -- including across edge churn that exercises
+// slot reuse.  Each variant runs twice: on fresh edges (B(0) > G, so no
+// cap binds) and on edges matured past decay_age, where the laggard's
+// cap binds and the variants' jumps must differ from plain DCSA's.
 TEST(DcsaColumns, MirrorsDcsaNodeBitForBit) {
   const auto p = small_params(4);
-  gcs::core::DcsaNode node(p);
-  gcs::core::DcsaColumns cols(p, 4);
+  const double mature = gcs::core::BFunction(p).decay_age() + 10.0;
+  std::vector<double> dcsa_mature_jumps;
+  for (const char* spec : {"dcsa", "weighted:0.5", "noblock", "nojump"}) {
+    for (const double base : {0.0, mature}) {
+      SCOPED_TRACE(std::string(spec) + " base " + std::to_string(base));
+      const auto variant = gcs::core::Variant::parse(spec);
+      gcs::core::DcsaNode node(p, variant);
+      gcs::core::DcsaColumns cols(p, 4, variant);
 
-  const gcs::core::NodeContext zero = at(0, 0.0);
-  node.start(zero);
-  for (gcs::core::NodeId u = 0; u < 4; ++u) cols.start(at(u, 0.0));
-  for (gcs::core::NodeId peer : {1u, 2u, 3u}) {
-    node.on_edge_up(zero, peer);
-    cols.edge_up(zero, peer);
-  }
+      const gcs::core::NodeContext zero = at(0, 0.0);
+      node.start(zero);
+      for (gcs::core::NodeId u = 0; u < 4; ++u) cols.start(at(u, 0.0));
+      for (gcs::core::NodeId peer : {1u, 2u, 3u}) {
+        node.on_edge_up(zero, peer);
+        cols.edge_up(zero, peer);
+      }
 
-  JumpSink sink;
-  std::vector<double> node_jumps;
-  const double values[] = {7.5, -3.25, 12.0, 11.875, 0.5, 40.0};
-  double hw = 0.5;
-  for (std::size_t k = 0; k < 6; ++k, hw += 0.625) {
-    const gcs::core::NodeId from = 1 + (k % 3);
-    gcs::core::StoreDelivery d;
-    d.from = from;
-    d.to = 0;
-    d.value = values[k];
-    d.hw_now = hw;
-    d.now = hw;
-    node.on_message(at(0, hw), from, values[k]);
-    node_jumps.push_back(node.step(at(0, hw)));
-    cols.on_deliveries(&d, 1, sink);
-    ASSERT_EQ(sink.jumps.size(), k + 1);
-    EXPECT_EQ(sink.jumps[k], node_jumps[k]) << "record " << k;
-    EXPECT_EQ(cols.logical_clock(0, hw), node.logical_clock(hw));
-    EXPECT_EQ(cols.fast_mode(0), node.fast_mode());
+      JumpSink sink;
+      std::vector<double> node_jumps;
+      const double values[] = {7.5, -3.25, 12.0, 11.875, 0.5, 40.0};
+      double hw = base + 0.5;
+      for (std::size_t k = 0; k < 6; ++k, hw += 0.625) {
+        const gcs::core::NodeId from = 1 + (k % 3);
+        gcs::core::StoreDelivery d;
+        d.from = from;
+        d.to = 0;
+        d.value = base + values[k];
+        d.hw_now = hw;
+        d.now = hw;
+        node.on_message(at(0, hw), from, d.value);
+        node_jumps.push_back(node.step(at(0, hw)));
+        cols.on_deliveries(&d, 1, sink);
+        ASSERT_EQ(sink.jumps.size(), k + 1);
+        EXPECT_EQ(sink.jumps[k], node_jumps[k]) << "record " << k;
+        EXPECT_EQ(cols.logical_clock(0, hw), node.logical_clock(hw));
+        EXPECT_EQ(cols.fast_mode(0), node.fast_mode());
 
-    if (k == 2) {  // churn an edge mid-stream: both must forget peer 2
-      node.on_edge_down(at(0, hw), 2);
-      cols.edge_down(at(0, hw), 2);
-      node.on_edge_up(at(0, hw), 2);
-      cols.edge_up(at(0, hw), 2);
+        if (k == 2) {  // churn an edge mid-stream: both must forget peer 2
+          node.on_edge_down(at(0, hw), 2);
+          cols.edge_down(at(0, hw), 2);
+          node.on_edge_up(at(0, hw), 2);
+          cols.edge_up(at(0, hw), 2);
+        }
+      }
+      if (base == 0.0) continue;
+      if (dcsa_mature_jumps.empty()) {
+        dcsa_mature_jumps = node_jumps;
+      } else {
+        EXPECT_NE(node_jumps, dcsa_mature_jumps);  // the variant mattered
+      }
     }
   }
 }

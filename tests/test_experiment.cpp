@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "net/scenario.hpp"
 #include "util/rng.hpp"
 
@@ -120,48 +122,69 @@ TEST(RunExperiment, EngineAndDeliveryKnobsAreTrajectoryNeutral) {
 }
 
 TEST(RunExperiment, VariantAxisRunsAblationProtocols) {
-  // The ablation variants (core/ablation_variants.hpp) through the
-  // harness.  On this quiet spread-drift ring the blocking cap never
-  // binds, so noblock and weighted track plain DCSA's physics, while
-  // nojump free-runs: with constant rates evenly spaced over
+  // The ablation variants (core/dcsa_kernel.hpp) through the harness, on
+  // both node stores.  On this quiet spread-drift ring the blocking cap
+  // never binds, so noblock and weighted track plain DCSA's physics,
+  // while nojump free-runs: with constant rates evenly spaced over
   // [1-rho, 1+rho] and no catch-up, the skew at the final sample is
   // exactly 2 * rho * horizon.
-  auto dcsa_cfg = small_config();
-  dcsa_cfg.store = "adapter";
-  const auto dcsa = gcs::harness::run_experiment(dcsa_cfg);
+  for (const char* store : {"columns", "adapter"}) {
+    auto dcsa_cfg = small_config();
+    dcsa_cfg.store = store;
+    const auto dcsa = gcs::harness::run_experiment(dcsa_cfg);
 
-  auto nojump_cfg = dcsa_cfg;
-  nojump_cfg.variant = "nojump";
-  const auto nojump = gcs::harness::run_experiment(nojump_cfg);
-  EXPECT_NEAR(nojump.max_global_skew, 2.0 * 0.05 * 40.0, 1e-6);
-  EXPECT_GT(nojump.max_global_skew, dcsa.max_global_skew);
-  EXPECT_EQ(nojump.run_stats.jumps, 0u);
-  EXPECT_GT(nojump.run_stats.messages_sent, 0u);  // broadcasts continue
+    auto nojump_cfg = dcsa_cfg;
+    nojump_cfg.variant = "nojump";
+    const auto nojump = gcs::harness::run_experiment(nojump_cfg);
+    EXPECT_NEAR(nojump.max_global_skew, 2.0 * 0.05 * 40.0, 1e-6) << store;
+    EXPECT_GT(nojump.max_global_skew, dcsa.max_global_skew) << store;
+    EXPECT_EQ(nojump.run_stats.jumps, 0u) << store;
+    EXPECT_GT(nojump.run_stats.messages_sent, 0u) << store;  // broadcasts
 
-  for (const char* variant : {"noblock", "weighted:0.5"}) {
-    auto cfg = dcsa_cfg;
-    cfg.variant = variant;
-    const auto result = gcs::harness::run_experiment(cfg);
-    EXPECT_EQ(result.global_violations, 0u) << variant;
-    EXPECT_NEAR(result.max_global_skew, dcsa.max_global_skew, 1e-9)
-        << variant;
+    for (const char* variant : {"noblock", "weighted:0.5"}) {
+      auto cfg = dcsa_cfg;
+      cfg.variant = variant;
+      const auto result = gcs::harness::run_experiment(cfg);
+      EXPECT_EQ(result.global_violations, 0u) << store << "/" << variant;
+      EXPECT_NEAR(result.max_global_skew, dcsa.max_global_skew, 1e-9)
+          << store << "/" << variant;
+    }
+  }
+}
+
+// Runs `cfg` expecting std::invalid_argument whose message quotes `spec`.
+void expect_rejected(const gcs::harness::ExperimentConfig& cfg,
+                     const std::string& spec) {
+  try {
+    gcs::harness::run_experiment(cfg);
+    ADD_FAILURE() << "'" << spec << "' was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'" + spec + "'"), std::string::npos)
+        << "error for '" << spec << "' does not quote it: " << e.what();
   }
 }
 
 TEST(RunExperiment, VariantValidationIsLoud) {
-  // The columns arenas implement plain DCSA only; anything else must
-  // refuse to run rather than silently measure the wrong protocol.
+  // A malformed variant must refuse to run rather than silently measure
+  // some other protocol.
   auto cfg = small_config();
-  cfg.store = "columns";
-  cfg.variant = "nojump";
-  EXPECT_THROW(gcs::harness::run_experiment(cfg), std::invalid_argument);
   cfg.store = "adapter";
-  cfg.variant = "bogus";
-  EXPECT_THROW(gcs::harness::run_experiment(cfg), std::invalid_argument);
-  cfg.variant = "weighted:0";
-  EXPECT_THROW(gcs::harness::run_experiment(cfg), std::invalid_argument);
-  cfg.variant = "weighted:1.5";
-  EXPECT_THROW(gcs::harness::run_experiment(cfg), std::invalid_argument);
+  for (const char* spec :
+       {"bogus", "weighted:0", "weighted:1.5", "weighted:0.5abc",
+        "weighted:0.5:0.7", "weighted:", "nojumpy"}) {
+    cfg.variant = spec;
+    expect_rejected(cfg, spec);
+  }
+}
+
+TEST(RunExperiment, DelayValidationIsLoud) {
+  auto cfg = small_config();
+  for (const char* spec :
+       {"uniform:", "constant:0.5junk", "uniform:0.25x:1", "constantly",
+        "uniform:0.25:1:2", "uniform:-1", "uniform:0.8:0.2"}) {
+    cfg.delay = spec;
+    expect_rejected(cfg, spec);
+  }
 }
 
 TEST(RunExperiment, SampleAtHorizonBoundaryFiresUnderBothEngines) {

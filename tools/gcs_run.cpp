@@ -59,7 +59,7 @@ sweepable keys (comma lists and integer ranges a..b become axes):
   horizon, sample_dt, seed (alias: seeds)
   variant: dcsa (default) | weighted[:w] (uniform tolerance weight w,
   default 0.5) | noblock (no blocking cap) | nojump (free-running
-  clocks); non-default variants need --store=adapter (docs/envelope.md
+  clocks); every variant runs on either store (docs/envelope.md
   documents the ablation axis)
   traffic: off (default; stochastic delays only), or a link-pipeline
   spec idle|cbr|bulk with :knob=value knobs -- idle[:bw=B:queue=Q:
