@@ -17,7 +17,7 @@
 //     this.  Jumps are >= 0: clocks never run backwards.
 //
 // DcsaKernel runs these rules over one node's peer slots.  The caller
-// owns the slots (DcsaNode in a std::map, DcsaColumns in an arena
+// owns the slots (DcsaNode in a std::map, DcsaColumns in an Adjacency
 // segment) and passes `each(f)`, which calls f(PeerSlot) once per slot;
 // the folds are order-independent, so slot order cannot change a
 // trajectory.

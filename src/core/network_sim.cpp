@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
+#include <sstream>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -25,63 +25,35 @@ std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t node) {
 
 }  // namespace
 
-// The DeliverySink pair: stats, traces, and conformance checks land at
+// The DeliverySink: stats, traces, and conformance checks land at
 // exactly the points the old per-node delivery path emitted them, so
 // the store refactor cannot move a byte in any artifact.
-
-struct NetworkSimulation::ClassicSink : DeliverySink {
-  explicit ClassicSink(NetworkSimulation* s) : sim(s) {}
+struct NetworkSimulation::Sink : DeliverySink {
+  explicit Sink(NetworkSimulation* s) : sim(s) {}
   NetworkSimulation* sim;
 
   void before(const StoreDelivery& d) override {
-    ++sim->stats_.messages_delivered;
+    const std::size_t ctx = sim->ctx_of(d.to);
+    ++sim->contexts_[ctx].messages_delivered;
     if (sim->trace_) {
-      sim->recorder_->on_trace({obs::TraceEvent::Kind::kDeliver, d.now, d.from,
-                                d.to, d.value, 0.0, false});
+      sim->trace(ctx, d.to, {obs::TraceEvent::Kind::kDeliver, d.now, d.from,
+                             d.to, d.value, 0.0, false});
     }
   }
 
   void after(const StoreDelivery& d, double jump) override {
+    const std::size_t ctx = sim->ctx_of(d.to);
+    Context& c = sim->contexts_[ctx];
     if (jump > 0.0) {
-      ++sim->stats_.jumps;
-      sim->stats_.total_jump += jump;
-      if (sim->trace_) {
-        sim->recorder_->on_trace({obs::TraceEvent::Kind::kJump, d.now, d.to,
-                                  d.from, jump, 0.0, false});
+      ++c.jumps;
+      if (sim->sharded_) {
+        sim->node_jump_[d.to] += jump;
+      } else {
+        sim->stats_.total_jump += jump;
       }
-    }
-    if (sim->options_.check_conformance) {
-      sim->check_edge_conformance(net::Edge(d.from, d.to));
-      const double logical = sim->store_->logical_clock(d.to, d.hw_now);
-      if (logical < sim->last_logical_[d.to] - sim->options_.conformance_slack) {
-        ++sim->stats_.conformance_monotonicity_failures;
-      }
-      sim->last_logical_[d.to] = logical;
-    }
-  }
-};
-
-struct NetworkSimulation::ShardedSink : DeliverySink {
-  explicit ShardedSink(NetworkSimulation* s) : sim(s) {}
-  NetworkSimulation* sim;
-
-  void before(const StoreDelivery& d) override {
-    const std::size_t ctx = sim->shard_of_[d.to];
-    ++sim->shard_counters_[ctx].messages_delivered;
-    if (sim->trace_) {
-      sim->push_trace(ctx, d.to, {obs::TraceEvent::Kind::kDeliver, d.now,
-                                  d.from, d.to, d.value, 0.0, false});
-    }
-  }
-
-  void after(const StoreDelivery& d, double jump) override {
-    const std::size_t ctx = sim->shard_of_[d.to];
-    if (jump > 0.0) {
-      ++sim->shard_counters_[ctx].jumps;
-      sim->node_jump_[d.to] += jump;
       if (sim->trace_) {
-        sim->push_trace(ctx, d.to, {obs::TraceEvent::Kind::kJump, d.now, d.to,
-                                    d.from, jump, 0.0, false});
+        sim->trace(ctx, d.to, {obs::TraceEvent::Kind::kJump, d.now, d.to,
+                               d.from, jump, 0.0, false});
       }
     }
     if (sim->options_.check_conformance) {
@@ -90,9 +62,10 @@ struct NetworkSimulation::ShardedSink : DeliverySink {
       // through the harness sampler at barriers instead, so the per-
       // delivery check is skipped for EVERY shard count (keeping the
       // counters K-invariant).  Monotonicity is target-local and stays on.
+      if (!sim->sharded_) sim->check_edge_conformance(d);
       const double logical = sim->store_->logical_clock(d.to, d.hw_now);
       if (logical < sim->last_logical_[d.to] - sim->options_.conformance_slack) {
-        ++sim->shard_counters_[ctx].monotonicity_failures;
+        ++c.monotonicity_failures;
       }
       sim->last_logical_[d.to] = logical;
     }
@@ -114,7 +87,8 @@ NetworkSimulation::NetworkSimulation(const SyncParams& params,
       rng_(options.seed),
       audit_sweep_(graph.initial_edges(), graph.events(),
                    params.T + params.D),
-      engine_(options.engine_policy) {
+      engine_(options.engine_policy),
+      adj_(graph.n()) {
   const std::size_t n = graph.n();
   if (schedules.size() != n) {
     throw std::invalid_argument(
@@ -122,6 +96,15 @@ NetworkSimulation::NetworkSimulation(const SyncParams& params,
   }
   if (!link_.prop.sample) {
     throw std::invalid_argument("NetworkSimulation: delay model has no sampler");
+  }
+  if (!(std::isfinite(params_.delta_h) && params_.delta_h > 0.0)) {
+    // Each broadcast reschedules itself delta_h of hardware time later:
+    // 0 would livelock at one instant, a negative or non-finite period
+    // would schedule at a non-finite time.
+    std::ostringstream msg;
+    msg << "NetworkSimulation: delta_h must be finite and > 0, got "
+        << params_.delta_h;
+    throw std::invalid_argument(msg.str());
   }
   clocks_.reserve(n);
   for (auto& s : schedules) clocks_.emplace_back(std::move(s));
@@ -137,13 +120,12 @@ NetworkSimulation::NetworkSimulation(const SyncParams& params,
     }
     store_ = std::make_unique<AutomatonStore>(std::move(nodes));
   } else {
-    store_ = std::make_unique<DcsaColumns>(params_, n, variant);
+    store_ = std::make_unique<DcsaColumns>(params_, adj_, variant);
   }
   for (std::size_t i = 0; i < n; ++i) {
     store_->start(NodeContext{static_cast<NodeId>(i),
                               clocks_[i].value_at(0.0), 0.0});
   }
-  adjacency_.assign(n, {});
   last_logical_.assign(n, 0.0);
 
   if (options_.shards > 0) {
@@ -179,7 +161,7 @@ NetworkSimulation::NetworkSimulation(const SyncParams& params,
       node_rngs_.emplace_back(mix_seed(options_.seed, u));
     }
     node_msg_index_.assign(n, 0);
-    shard_counters_.assign(k + 1, ShardCounters{});
+    contexts_.assign(k + 1, Context{});
     node_jump_.assign(n, 0.0);
     node_sync_delay_.assign(n, 0.0);
     if (trace_) {
@@ -188,13 +170,15 @@ NetworkSimulation::NetworkSimulation(const SyncParams& params,
     }
   }
 
-  edges_.reserve(graph.initial_edges().size() * 2 + 16);
   for (const net::Edge& e : graph.initial_edges()) add_edge(e, 0.0, true);
+  // Every topology event is scheduled up front (sharded: as a global,
+  // run at a barrier with every shard parked).
   for (const net::TopologyEvent& ev : graph.events()) {
+    auto fn = [this, ev] { apply_event(ev); };
     if (sharded_) {
-      sharded_->at_global(ev.at, [this, ev] { apply_event(ev); });
+      sharded_->at_global(ev.at, std::move(fn));
     } else {
-      engine_.at(ev.at, [this, ev] { apply_event(ev); });
+      engine_.at(ev.at, std::move(fn));
     }
   }
 
@@ -212,16 +196,14 @@ void NetworkSimulation::run_until(sim::Time t) {
   if (sharded_) {
     sharded_->run_until(t);
     flush_sharded_trace();
-    if (sharded_->clamped_count() > 0) {
-      stats_.first_clamped_time = sharded_->first_clamped_time();
-      stats_.first_clamped_seq = sharded_->first_clamped_seq();
-    }
   } else {
     engine_.run_until(t);
-    if (engine_.clamped_count() > 0) {
-      stats_.first_clamped_time = engine_.first_clamped_time();
-      stats_.first_clamped_seq = engine_.first_clamped_seq();
-    }
+  }
+  if (engine_clamped_count() > 0) {
+    stats_.first_clamped_time = sharded_ ? sharded_->first_clamped_time()
+                                         : engine_.first_clamped_time();
+    stats_.first_clamped_seq = sharded_ ? sharded_->first_clamped_seq()
+                                        : engine_.first_clamped_seq();
   }
   // Audit the paper's standing assumption over the (T+D)-windows newly
   // completed by this call; the sweep's delta cursor makes repeated
@@ -275,31 +257,31 @@ void NetworkSimulation::sample_clocks(std::vector<double>& hw,
 
 std::vector<net::Edge> NetworkSimulation::current_edges() const {
   std::vector<net::Edge> out;
-  out.reserve(edges_.size());
-  for (const auto& [key, state] : edges_) {
-    (void)state;
-    out.emplace_back(static_cast<NodeId>(key >> 32),
-                     static_cast<NodeId>(key & 0xFFFFFFFFu));
+  out.reserve(adj_.live_slots() / 2);
+  for (NodeId u = 0; u < adj_.size(); ++u) {
+    for (std::uint32_t s = adj_.begin(u); s < adj_.end(u); ++s) {
+      if (u < adj_.peer(s)) out.emplace_back(u, adj_.peer(s));
+    }
   }
-  std::sort(out.begin(), out.end());  // hash order is not deterministic
+  std::sort(out.begin(), out.end());  // segments keep insertion order
   return out;
 }
 
 double NetworkSimulation::edge_age(const net::Edge& e) const {
-  auto it = edges_.find(edge_key(e));
-  if (it == edges_.end()) return -1.0;
-  return now() - it->second.up_time;
+  const std::uint32_t s = adj_.find(e.u, e.v);
+  if (s == Adjacency::kNpos) return -1.0;
+  return now() - adj_.up_time(s);
 }
 
 double NetworkSimulation::max_queue_backlog() const {
   const net::TrafficModel& m = link_.traffic;
   if (!m.pipeline_active() || m.bandwidth <= 0.0) return 0.0;
   const sim::Time t = now();
-  double worst = 0.0;  // residual busy time; max commutes, hash order ok
-  for (const auto& [key, state] : edges_) {
-    (void)key;
-    worst = std::max(worst, state.dir[0].busy_until - t);
-    worst = std::max(worst, state.dir[1].busy_until - t);
+  double worst = 0.0;  // residual busy time over every direction
+  for (NodeId u = 0; u < adj_.size(); ++u) {
+    for (std::uint32_t s = adj_.begin(u); s < adj_.end(u); ++s) {
+      worst = std::max(worst, adj_.dir(s).busy_until - t);
+    }
   }
   return std::max(0.0, worst) * m.bandwidth;
 }
@@ -326,108 +308,112 @@ void NetworkSimulation::apply_event(const net::TopologyEvent& ev) {
 
 void NetworkSimulation::add_edge(const net::Edge& e, sim::Time t,
                                  bool initial) {
-  if (edges_.count(edge_key(e))) return;  // redundant add
-  edges_[edge_key(e)] = EdgeState{t, ++next_incarnation_, {}};
-  adjacency_[e.u].push_back(e.v);
-  adjacency_[e.v].push_back(e.u);
+  if (adj_.find(e.u, e.v) != Adjacency::kNpos) return;  // redundant add
+  const std::uint64_t incarnation = ++next_incarnation_;
   const double hw_u = clocks_[e.u].value_at(t);
   const double hw_v = clocks_[e.v].value_at(t);
+  adj_.insert(e.u, e.v, incarnation, t, hw_u);
+  adj_.insert(e.v, e.u, incarnation, t, hw_v);
   store_->edge_up(NodeContext{e.u, hw_u, t}, e.v);
   store_->edge_up(NodeContext{e.v, hw_v, t}, e.u);
   if (!initial) {
     // Discovery exchange: both endpoints immediately send their clocks on
     // the new edge, so it carries an estimate within one delay bound.
-    if (sharded_) {
-      // Topology deltas run in the global context (shards parked), so
-      // reading either endpoint's clock here is safe for any partition.
-      const std::size_t ctx = sharded_->global_ctx();
-      send_sharded(ctx, e.u, e.v, store_->logical_clock(e.u, hw_u), t);
-      send_sharded(ctx, e.v, e.u, store_->logical_clock(e.v, hw_v), t);
-    } else {
-      send(e.u, e.v, store_->logical_clock(e.u, hw_u), t);
-      send(e.v, e.u, store_->logical_clock(e.v, hw_v), t);
-      flush_outbox();
-    }
+    // Each half-edge is its segment's last slot (read back after both
+    // inserts: the second may have relocated u's segment).  Topology
+    // deltas run in the global context (shards parked), so reading
+    // either endpoint's clock here is safe for any partition.
+    const std::size_t ctx = sharded_ ? sharded_->global_ctx() : 0;
+    send(ctx, e.u, adj_.end(e.u) - 1, store_->logical_clock(e.u, hw_u), t);
+    send(ctx, e.v, adj_.end(e.v) - 1, store_->logical_clock(e.v, hw_v), t);
+    flush_outbox();
   }
   // Background flows ride every edge incarnation, initial ones included;
   // they stop by themselves when this incarnation dies.
-  start_flows(e, edges_[edge_key(e)].incarnation, t);
+  start_flows(e, incarnation, t);
 }
 
 void NetworkSimulation::remove_edge(const net::Edge& e, sim::Time t) {
-  auto it = edges_.find(edge_key(e));
-  if (it == edges_.end()) return;  // redundant remove
-  edges_.erase(it);
-  auto drop = [](std::vector<NodeId>& v, NodeId x) {
-    v.erase(std::remove(v.begin(), v.end(), x), v.end());
-  };
-  drop(adjacency_[e.u], e.v);
-  drop(adjacency_[e.v], e.u);
+  const std::uint32_t su = adj_.find(e.u, e.v);
+  if (su == Adjacency::kNpos) return;  // redundant remove
+  adj_.erase(e.u, su);
+  adj_.erase(e.v, adj_.find(e.v, e.u));
   store_->edge_down(NodeContext{e.u, clocks_[e.u].value_at(t), t}, e.v);
   store_->edge_down(NodeContext{e.v, clocks_[e.v].value_at(t), t}, e.u);
 }
 
-void NetworkSimulation::schedule_broadcast(NodeId u) {
-  const sim::Time when = clocks_[u].time_when(next_broadcast_hw_[u]);
+void NetworkSimulation::at_node(NodeId u, sim::Time t,
+                                std::function<void()> fn) {
   if (sharded_) {
-    sharded_->at(shard_of_[u], when, [this, u] { broadcast(u); });
-    return;
+    sharded_->at(shard_of_[u], t, std::move(fn));
+  } else {
+    engine_.at(t, std::move(fn));
   }
-  engine_.at(when, [this, u] { broadcast(u); });
+}
+
+void NetworkSimulation::schedule_broadcast(NodeId u) {
+  at_node(u, clocks_[u].time_when(next_broadcast_hw_[u]),
+          [this, u] { broadcast(u); });
 }
 
 void NetworkSimulation::broadcast(NodeId u) {
-  if (sharded_) {
-    // Runs on u's shard: u's clock, node state, and RNG are owner-local;
-    // adjacency_ and edges_ only ever change at barriers, so reading
-    // them mid-window is race-free.
-    const sim::Time t = sharded_->shard_now(shard_of_[u]);
-    const double value = store_->logical_clock(u, clocks_[u].value_at(t));
-    for (NodeId v : adjacency_[u]) send_sharded(shard_of_[u], u, v, value, t);
-    next_broadcast_hw_[u] += params_.delta_h;
-    schedule_broadcast(u);
-    return;
-  }
-  const sim::Time t = engine_.now();
+  // Sharded: runs on u's shard, where u's clock, node state, RNG and
+  // segment are owner-local, and the adjacency only ever changes shape
+  // at barriers, so reading it mid-window is race-free.
+  const sim::Time t = node_now(u);
   const double value = store_->logical_clock(u, clocks_[u].value_at(t));
-  for (NodeId v : adjacency_[u]) send(u, v, value, t);
+  for (std::uint32_t s = adj_.begin(u); s < adj_.end(u); ++s) {
+    send(ctx_of(u), u, s, value, t);
+  }
   flush_outbox();
   next_broadcast_hw_[u] += params_.delta_h;
   schedule_broadcast(u);
 }
 
-void NetworkSimulation::send(NodeId from, NodeId to, double value,
-                             sim::Time t) {
-  const net::Edge e(from, to);
-  auto it = edges_.find(edge_key(e));
-  if (it == edges_.end()) return;
-  const std::uint64_t incarnation = it->second.incarnation;
-  double d = link_.prop.sample(e, rng_);
-  d = std::clamp(d, 1e-12, link_.prop.bound);  // the model promises delay <= T
+void NetworkSimulation::send(std::size_t ctx, NodeId from, std::uint32_t slot,
+                             double value, sim::Time t) {
+  const Delivery m{from, adj_.peer(slot), value, adj_.incarnation(slot)};
+  const net::Edge e(from, m.to);
+  // The model promises delay <= bound.  Sharded runs also clamp below to
+  // the floor, the lookahead the barrier windows rest on, so a
+  // misbehaving sampler cannot smuggle an event into the current window.
+  double d = sharded_ ? std::clamp(link_.prop.sample(e, node_rngs_[from]),
+                                  link_.prop.floor, link_.prop.bound)
+                      : std::clamp(link_.prop.sample(e, rng_), 1e-12,
+                                   link_.prop.bound);
   // Through the link pipeline: queue wait + transmission time on top of
   // the propagation draw (bit-exactly d when no finite bandwidth is
   // configured).  Sync messages are never queue-dropped -- their
   // latency saturates at the bound instead, preserving the delay <= T
-  // assumption the proofs rest on.
-  d = sync_link_delay(it->second, from, to, t, d, stats_.ecn_marks,
-                      stats_.peak_queue_bytes);
-  stats_.sync_delay_sum += d;
-  stats_.sync_delay_max = std::max(stats_.sync_delay_max, d);
-  ++stats_.messages_sent;
+  // assumption the proofs rest on.  The pipeline only ADDS delay, so
+  // the floor survives any traffic model.
+  Context& c = contexts_[ctx];
+  d = sync_link_delay(adj_.dir(slot), t, d, c.ecn_marks, c.peak_queue_bytes);
+  c.sync_delay_max = std::max(c.sync_delay_max, d);
+  ++c.messages_sent;
   if (trace_) {
-    recorder_->on_trace(
-        {obs::TraceEvent::Kind::kSend, t, from, to, value, t + d, false});
+    trace(ctx, from,
+          {obs::TraceEvent::Kind::kSend, t, from, m.to, value, t + d, false});
   }
+  if (sharded_) {
+    node_sync_delay_[from] += d;
+    ++c.delivery_events;  // one event per message
+    // Staged through the sharded engine's outbox under the canonical
+    // (t, send_t, origin, index) key.
+    sharded_->post(ctx, shard_of_[m.to], t + d,
+                   sim::PostKey{t, from, node_msg_index_[from]++},
+                   [this, m] { deliver(&m, 1); });
+    return;
+  }
+  stats_.sync_delay_sum += d;
   if (!options_.batched_delivery) {
-    ++stats_.delivery_events;
-    engine_.at(t + d, [this, from, to, value, incarnation] {
-      deliver(from, to, value, incarnation);
-    });
+    ++c.delivery_events;
+    engine_.at(t + d, [this, m] { deliver(&m, 1); });
     return;
   }
   // Stage for the flush; delays are sampled per receiver in send order
   // either way, so the two modes draw identical randomness.
-  outbox_.emplace_back(t + d, Delivery{from, to, value, incarnation});
+  outbox_.emplace_back(t + d, m);
 }
 
 void NetworkSimulation::flush_outbox() {
@@ -442,20 +428,19 @@ void NetworkSimulation::flush_outbox() {
   for (std::size_t i = 0; i < outbox_.size();) {
     std::size_t j = i + 1;
     while (j < outbox_.size() && outbox_[j].first == outbox_[i].first) ++j;
-    ++stats_.delivery_events;
+    ++contexts_[0].delivery_events;
     if (j == i + 1) {
       // Uncoalesced instant (the common case under continuous delay
       // distributions): skip the batch vector, schedule the delivery
       // directly -- same cost as per-receiver mode.
-      const Delivery d = outbox_[i].second;
       engine_.at(outbox_[i].first,
-                 [this, d] { deliver(d.from, d.to, d.value, d.incarnation); });
+                 [this, m = outbox_[i].second] { deliver(&m, 1); });
     } else {
       std::vector<Delivery> batch;
       batch.reserve(j - i);
       for (std::size_t k = i; k < j; ++k) batch.push_back(outbox_[k].second);
       engine_.at(outbox_[i].first, [this, batch = std::move(batch)] {
-        deliver_batch(batch);
+        deliver(batch.data(), batch.size());
       });
     }
     i = j;
@@ -463,108 +448,37 @@ void NetworkSimulation::flush_outbox() {
   outbox_.clear();
 }
 
-void NetworkSimulation::deliver(NodeId from, NodeId to, double value,
-                                std::uint64_t incarnation) {
-  const net::Edge e(from, to);
-  auto it = edges_.find(edge_key(e));
-  if (it == edges_.end() || it->second.incarnation != incarnation) {
-    ++stats_.messages_dropped;
-    if (trace_) {
-      recorder_->on_trace({obs::TraceEvent::Kind::kDrop, engine_.now(), from,
-                           to, value, 0.0, false});
-    }
-    return;
-  }
-  const sim::Time t = engine_.now();
-  const StoreDelivery d{from, to, value, clocks_[to].value_at(t), t};
-  ClassicSink sink(this);
-  store_->on_deliveries(&d, 1, sink);
-}
-
-void NetworkSimulation::deliver_batch(const std::vector<Delivery>& batch) {
-  const sim::Time t = engine_.now();
-  ClassicSink sink(this);
-  scratch_.clear();
+void NetworkSimulation::deliver(const Delivery* batch, std::size_t count) {
+  const std::size_t ctx = ctx_of(batch->to);
+  const sim::Time t = node_now(batch->to);
+  Sink sink(this);
+  std::vector<StoreDelivery>& run = contexts_[ctx].scratch;
   const auto flush = [&] {
-    if (scratch_.empty()) return;
-    store_->on_deliveries(scratch_.data(), scratch_.size(), sink);
-    scratch_.clear();
+    if (run.empty()) return;
+    store_->on_deliveries(run.data(), run.size(), sink);
+    run.clear();
   };
-  for (const Delivery& m : batch) {
-    const auto it = edges_.find(edge_key(net::Edge(m.from, m.to)));
-    if (it == edges_.end() || it->second.incarnation != m.incarnation) {
+  for (const Delivery* m = batch; m != batch + count; ++m) {
+    const std::uint32_t s = adj_.find(m->to, m->from, m->incarnation);
+    if (s == Adjacency::kNpos) {
       // Emit the drop at its original position in the batch: flush the
       // accepted run so far, then count/trace the drop.
       flush();
-      ++stats_.messages_dropped;
+      ++contexts_[ctx].messages_dropped;
       if (trace_) {
-        recorder_->on_trace({obs::TraceEvent::Kind::kDrop, t, m.from, m.to,
-                             m.value, 0.0, false});
+        trace(ctx, m->to, {obs::TraceEvent::Kind::kDrop, t, m->from, m->to,
+                           m->value, 0.0, false});
       }
       continue;
     }
-    scratch_.push_back(
-        StoreDelivery{m.from, m.to, m.value, clocks_[m.to].value_at(t), t});
+    run.push_back(StoreDelivery{m->from, m->to, m->value,
+                                clocks_[m->to].value_at(t), t, s});
   }
   flush();
 }
 
-void NetworkSimulation::send_sharded(std::size_t ctx, NodeId from, NodeId to,
-                                     double value, sim::Time t) {
-  const net::Edge e(from, to);
-  auto it = edges_.find(edge_key(e));
-  if (it == edges_.end()) return;
-  const std::uint64_t incarnation = it->second.incarnation;
-  double d = link_.prop.sample(e, node_rngs_[from]);
-  // The clamp enforces BOTH halves of the delay contract: <= bound (the
-  // algorithm's assumption) and >= floor (the lookahead the barrier
-  // windows rest on), so a misbehaving sampler cannot smuggle an event
-  // into the current window.
-  d = std::clamp(d, link_.prop.floor, link_.prop.bound);
-  ShardCounters& counters = shard_counters_[ctx];
-  // The pipeline only ADDS delay above the propagation draw (and the
-  // result clamps to [d, bound]), so the lookahead contract above
-  // survives any traffic model.  Direction state is written from the
-  // sender's context only (this shard, or the coordinator at barriers),
-  // so no lock is needed.
-  d = sync_link_delay(it->second, from, to, t, d, counters.ecn_marks,
-                      counters.peak_queue_bytes);
-  node_sync_delay_[from] += d;
-  counters.sync_delay_max = std::max(counters.sync_delay_max, d);
-  ++counters.messages_sent;
-  ++counters.delivery_events;  // sharded mode: one event per message
-  if (trace_) {
-    push_trace(ctx, from,
-               {obs::TraceEvent::Kind::kSend, t, from, to, value, t + d, false});
-  }
-  sharded_->post(ctx, shard_of_[to], t + d,
-                 sim::PostKey{t, from, node_msg_index_[from]++},
-                 [this, from, to, value, incarnation] {
-                   deliver_sharded(from, to, value, incarnation);
-                 });
-}
-
-void NetworkSimulation::deliver_sharded(NodeId from, NodeId to, double value,
-                                        std::uint64_t incarnation) {
-  const std::size_t ctx = shard_of_[to];
-  const sim::Time t = sharded_->shard_now(ctx);
-  const net::Edge e(from, to);
-  auto it = edges_.find(edge_key(e));
-  if (it == edges_.end() || it->second.incarnation != incarnation) {
-    ++shard_counters_[ctx].messages_dropped;
-    if (trace_) {
-      push_trace(ctx, to,
-                 {obs::TraceEvent::Kind::kDrop, t, from, to, value, 0.0, false});
-    }
-    return;
-  }
-  const StoreDelivery d{from, to, value, clocks_[to].value_at(t), t};
-  ShardedSink sink(this);
-  store_->on_deliveries(&d, 1, sink);
-}
-
-double NetworkSimulation::sync_link_delay(EdgeState& state, NodeId from,
-                                          NodeId to, sim::Time t, double d_prop,
+double NetworkSimulation::sync_link_delay(net::LinkDir& dir, sim::Time t,
+                                          double d_prop,
                                           std::uint64_t& ecn_marks,
                                           std::uint64_t& peak_queue_bytes) {
   const net::TrafficModel& m = link_.traffic;
@@ -573,8 +487,8 @@ double NetworkSimulation::sync_link_delay(EdgeState& state, NodeId from,
   // and infinite-bandwidth "idle" produce identical bytes (the
   // link-equivalence matrix holds this door shut).
   if (!m.pipeline_active() || m.bandwidth <= 0.0) return d_prop;
-  net::LinkDecision dec = net::link_offer(m, state.dir[dir_index(from, to)], t,
-                                          m.sync_bytes, /*droppable=*/false);
+  net::LinkDecision dec =
+      net::link_offer(m, dir, t, m.sync_bytes, /*droppable=*/false);
   if (dec.marked) ++ecn_marks;
   peak_queue_bytes = std::max(
       peak_queue_bytes, static_cast<std::uint64_t>(dec.backlog_bytes));
@@ -594,54 +508,38 @@ void NetworkSimulation::start_flows(const net::Edge& e,
     // across links without drawing randomness.
     const sim::Time first =
         t + period * net::flow_phase(2 * key + static_cast<std::uint64_t>(i));
-    auto fn = [this, from, to, incarnation] { flow_emit(from, to, incarnation); };
-    if (sharded_) {
-      // add_edge runs at barriers (or in the constructor) with every
-      // shard parked, exactly the context ShardedEngine::at allows.
-      sharded_->at(shard_of_[from], first, std::move(fn));
-    } else {
-      engine_.at(first, std::move(fn));
-    }
+    // add_edge runs at barriers (or in the constructor) with every
+    // shard parked, exactly the context ShardedEngine::at allows.
+    at_node(from, first, [this, from, to, incarnation] {
+      flow_emit(from, to, incarnation);
+    });
   }
 }
 
 void NetworkSimulation::flow_emit(NodeId from, NodeId to,
                                   std::uint64_t incarnation) {
-  const net::Edge e(from, to);
-  auto it = edges_.find(edge_key(e));
-  if (it == edges_.end() || it->second.incarnation != incarnation) {
-    return;  // the edge (incarnation) died; the flow dies with it
-  }
-  const sim::Time t =
-      sharded_ ? sharded_->shard_now(shard_of_[from]) : engine_.now();
+  const std::uint32_t s = adj_.find(from, to, incarnation);
+  if (s == Adjacency::kNpos) return;  // the flow dies with its edge
+  const sim::Time t = node_now(from);
   const net::LinkDecision dec =
-      net::link_offer(link_.traffic, it->second.dir[dir_index(from, to)], t,
-                      link_.traffic.flow_bytes(), link_.traffic.flow_droppable());
-  if (sharded_) {
-    ShardCounters& c = shard_counters_[shard_of_[from]];
-    ++c.traffic_packets;
-    if (dec.dropped) ++c.traffic_dropped;
-    if (dec.marked) ++c.ecn_marks;
-    c.peak_queue_bytes = std::max(
-        c.peak_queue_bytes, static_cast<std::uint64_t>(dec.backlog_bytes));
-  } else {
-    ++stats_.traffic_packets;
-    if (dec.dropped) ++stats_.traffic_dropped;
-    if (dec.marked) ++stats_.ecn_marks;
-    stats_.peak_queue_bytes = std::max(
-        stats_.peak_queue_bytes, static_cast<std::uint64_t>(dec.backlog_bytes));
-  }
-  const sim::Time next = t + link_.traffic.flow_period();
-  auto fn = [this, from, to, incarnation] { flow_emit(from, to, incarnation); };
-  if (sharded_) {
-    sharded_->at(shard_of_[from], next, std::move(fn));
-  } else {
-    engine_.at(next, std::move(fn));
-  }
+      net::link_offer(link_.traffic, adj_.dir(s), t, link_.traffic.flow_bytes(),
+                      link_.traffic.flow_droppable());
+  Context& c = contexts_[ctx_of(from)];
+  ++c.traffic_packets;
+  if (dec.dropped) ++c.traffic_dropped;
+  if (dec.marked) ++c.ecn_marks;
+  c.peak_queue_bytes = std::max(c.peak_queue_bytes,
+                                static_cast<std::uint64_t>(dec.backlog_bytes));
+  at_node(from, t + link_.traffic.flow_period(),
+          [this, from, to, incarnation] { flow_emit(from, to, incarnation); });
 }
 
-void NetworkSimulation::push_trace(std::size_t ctx, NodeId node,
-                                   const obs::TraceEvent& ev) {
+void NetworkSimulation::trace(std::size_t ctx, NodeId node,
+                              const obs::TraceEvent& ev) {
+  if (!sharded_) {
+    recorder_->on_trace(ev);
+    return;
+  }
   trace_bufs_[ctx].push_back(
       PendingTrace{ev, node, node_trace_seq_[node]++, false});
 }
@@ -673,7 +571,7 @@ void NetworkSimulation::flush_sharded_trace() {
 }
 
 const RunStats& NetworkSimulation::stats() const {
-  if (sharded_) compose_run_stats();
+  compose_run_stats();
   stats_.arena_bytes = store_->arena_bytes();
   return stats_;
 }
@@ -690,7 +588,7 @@ void NetworkSimulation::compose_run_stats() const {
   stats_.ecn_marks = 0;
   stats_.peak_queue_bytes = 0;
   stats_.sync_delay_max = 0.0;
-  for (const ShardCounters& c : shard_counters_) {
+  for (const Context& c : contexts_) {
     stats_.messages_sent += c.messages_sent;
     stats_.messages_delivered += c.messages_delivered;
     stats_.messages_dropped += c.messages_dropped;
@@ -706,6 +604,9 @@ void NetworkSimulation::compose_run_stats() const {
                                        c.peak_queue_bytes);
     stats_.sync_delay_max = std::max(stats_.sync_delay_max, c.sync_delay_max);
   }
+  // Classic runs sum the float totals in event order and audit the
+  // envelope per delivery, straight into stats_.
+  if (!sharded_) return;
   stats_.total_jump = 0.0;
   for (const double jump : node_jump_) stats_.total_jump += jump;
   // Like total_jump: per-sender sums folded in node order keep the float
@@ -713,20 +614,20 @@ void NetworkSimulation::compose_run_stats() const {
   stats_.sync_delay_sum = 0.0;
   for (const double d : node_sync_delay_) stats_.sync_delay_sum += d;
   // Per-delivery envelope checks are barrier-audited in sharded mode
-  // (see ShardedSink::after); these stay zero for every shard count.
+  // (see Sink::after); these stay zero for every shard count.
   stats_.conformance_checks = 0;
   stats_.conformance_envelope_failures = 0;
 }
 
-void NetworkSimulation::check_edge_conformance(const net::Edge& e) {
-  auto it = edges_.find(edge_key(e));
-  if (it == edges_.end()) return;
+void NetworkSimulation::check_edge_conformance(const StoreDelivery& d) {
+  const net::Edge e(d.from, d.to);
   ++stats_.conformance_checks;
   // The node-side B runs on hardware ages, which an outside observer
   // cannot see exactly; the slowest admissible clock gives the youngest
   // age and hence the loosest envelope any conforming node could be
   // holding, so checking against it never reports a false violation.
-  const double age_hw = (1.0 - params_.rho) * (engine_.now() - it->second.up_time);
+  const double age_hw =
+      (1.0 - params_.rho) * (engine_.now() - adj_.up_time(d.slot));
   const double allowed = bfunc_(age_hw) + options_.conformance_slack;
   const double observed = std::abs(skew(e.u, e.v));
   const bool violated = observed > allowed;

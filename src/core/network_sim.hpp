@@ -1,13 +1,17 @@
 // gcs::core -- NetworkSimulation: the glue layer.
 //
-// Owns the event engine, one hardware clock and one NodeAutomaton per
-// node, the live edge set, and the link model (traffic pipeline +
-// propagation delay; see net/link.hpp), and turns a DynamicGraph
-// schedule into edge-up/edge-down callbacks, periodic per-node broadcasts
-// (every delta_h of HARDWARE time), background-flow emissions, and
-// message deliveries.  Everything observable (skew, clocks, stats) is
-// queryable from outside, which is what the harness and the benches
-// build on.
+// Owns the event engine, one hardware clock per node, the node store,
+// the live edge set (one core::Adjacency: per-node segments of half-edge
+// slots holding incarnation, up-time, link FIFO and the columns store's
+// estimates), and the link model (traffic pipeline + propagation delay;
+// see net/link.hpp).  It pre-schedules every DynamicGraph event as an
+// edge-up/edge-down, and runs periodic per-node broadcasts (every
+// delta_h of HARDWARE time), background-flow emissions, and message
+// deliveries.  A broadcast walks the sender's segment, so a send does
+// no lookup; a delivery scans the receiver's segment for the sender
+// once, checks the incarnation, and hands that slot to the store.
+// Everything observable (skew, clocks, stats) is queryable from
+// outside, which is what the harness and the benches build on.
 //
 // Sharded lookahead under traffic: the conservative barrier window is
 // derived from the PROPAGATION floor alone (LinkModel::prop.floor).
@@ -32,11 +36,11 @@
 #include <functional>
 #include <memory>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "clk/clock.hpp"
+#include "core/adjacency.hpp"
 #include "core/bfunc.hpp"
 #include "core/dcsa_kernel.hpp"
 #include "core/node_automaton.hpp"
@@ -192,8 +196,7 @@ class NetworkSimulation {
   // Real-time age of a live edge; negative if the edge is not present.
   double edge_age(const net::Edge& e) const;
   // Instantaneous worst queue backlog (bytes) over all live link
-  // directions -- the per-interval queue-depth gauge.  Max commutes, so
-  // the hash-order edge walk is deterministic; 0.0 whenever no
+  // directions -- the per-interval queue-depth gauge; 0.0 whenever no
   // finite-bandwidth pipeline is configured.  Safe at barriers/sample
   // times only (like the other whole-network accessors).
   double max_queue_backlog() const;
@@ -240,60 +243,50 @@ class NetworkSimulation {
   }
 
  private:
-  struct EdgeState {
-    sim::Time up_time = 0.0;
-    std::uint64_t incarnation = 0;
-    // Per-direction FIFO state; dir[0] carries u -> v (u <= v after
-    // Edge normalization), dir[1] the reverse.  Each direction is
-    // written only from its sender's execution context (broadcasts and
-    // flow emissions on the sender's shard, discovery exchanges at
-    // barriers), so sharded access is race-free by ownership.
-    net::LinkDir dir[2];
-  };
   struct Delivery {
     NodeId from;
     NodeId to;
     double value;
     std::uint64_t incarnation;
   };
-  // Order-preserving DeliverySink impls (defined in the .cpp): they put
-  // stats, traces, and conformance checks at exactly the points the old
+  // Order-preserving DeliverySink (defined in the .cpp): it puts stats,
+  // traces, and conformance checks at exactly the points the old
   // per-node path emitted them.
-  struct ClassicSink;
-  struct ShardedSink;
+  struct Sink;
 
-  // Edges are normalized (u <= v), so one packed key per physical link.
+  // Edges are normalized (u <= v), so one packed key per physical link
+  // (the stable input of a flow's phase).
   static std::uint64_t edge_key(const net::Edge& e) {
     return (static_cast<std::uint64_t>(e.u) << 32) | e.v;
   }
-  // Which EdgeState::dir slot carries from -> to traffic.
-  static int dir_index(NodeId from, NodeId to) { return from < to ? 0 : 1; }
 
   void apply_event(const net::TopologyEvent& ev);
   void add_edge(const net::Edge& e, sim::Time t, bool initial);
   void remove_edge(const net::Edge& e, sim::Time t);
+  // Schedules fn at t on u's shard (or the classic engine).
+  void at_node(NodeId u, sim::Time t, std::function<void()> fn);
   void schedule_broadcast(NodeId u);
   void broadcast(NodeId u);
-  // Stages (batched) or schedules (per-receiver) one message.  Batched
-  // callers must flush_outbox() before returning to the engine.
-  void send(NodeId from, NodeId to, double value, sim::Time t);
+  // Sends one message over the half-edge `slot` of from's segment.
+  // Classic mode stages it (batched) or schedules it (per-receiver);
+  // callers must flush_outbox() before returning to the engine (a no-op
+  // in sharded mode, which never stages).  Sharded mode posts it from
+  // execution context `ctx` (the sender's shard, or global_ctx() for
+  // barrier-side discovery exchanges).  Messages carry the edge
+  // incarnation, never a slot: segments may relocate before the
+  // delivery, which resolves its slot afresh.
+  void send(std::size_t ctx, NodeId from, std::uint32_t slot, double value,
+            sim::Time t);
   void flush_outbox();
-  void deliver(NodeId from, NodeId to, double value, std::uint64_t incarnation);
-  // Same-instant coalesced deliveries: drop-checks every record up
-  // front (store callbacks never touch the edge set, so the checks
-  // cannot go stale mid-batch), then feeds the accepted runs to the
-  // store as contiguous on_deliveries batches, emitting drops at their
-  // original positions -- byte-order-identical to per-record delivery.
-  void deliver_batch(const std::vector<Delivery>& batch);
-  void check_edge_conformance(const net::Edge& e);
-  // Sharded-mode message path: `ctx` is the execution context doing the
-  // send (the node's shard, or global_ctx() for barrier-side discovery
-  // exchanges); delivery is staged through the sharded engine's outbox
-  // under the canonical (t, send_t, origin, index) key.
-  void send_sharded(std::size_t ctx, NodeId from, NodeId to, double value,
-                    sim::Time t);
-  void deliver_sharded(NodeId from, NodeId to, double value,
-                       std::uint64_t incarnation);
+  // Delivers `count` same-instant messages (one, unless coalesced;
+  // sharded mode delivers each on its receiver's shard): drop-checks
+  // every record up front (store callbacks never touch the edge set,
+  // so the checks cannot go stale mid-batch), then feeds the accepted
+  // runs to the store as contiguous on_deliveries batches, emitting
+  // drops at their original positions -- byte-order-identical to
+  // per-record delivery.
+  void deliver(const Delivery* batch, std::size_t count);
+  void check_edge_conformance(const StoreDelivery& d);
   // Background-flow machinery (TrafficModel::has_flows()): start_flows
   // schedules the first emission for both directions of a fresh edge
   // (constructor or barrier context); flow_emit offers one packet/burst
@@ -303,16 +296,24 @@ class NetworkSimulation {
   // shift a single propagation draw.
   void start_flows(const net::Edge& e, std::uint64_t incarnation, sim::Time t);
   void flow_emit(NodeId from, NodeId to, std::uint64_t incarnation);
-  // Shared per-send pipeline step: offers sync_bytes to the from -> to
-  // FIFO, folds the traffic counters into `counters` (a shard slot or
-  // the classic stats), and returns the total delay (wait + tx + the
+  // Shared per-send pipeline step: offers sync_bytes to the sender's
+  // FIFO `dir`, folds the traffic counters into the two out-params (a
+  // counter slot's fields), and returns the total delay (wait + tx + the
   // already-clamped propagation draw `d_prop`), clamped above to the
   // propagation bound.  With no finite-bandwidth pipeline the result
   // is bit-exactly d_prop.
-  double sync_link_delay(EdgeState& state, NodeId from, NodeId to, sim::Time t,
-                         double d_prop, std::uint64_t& ecn_marks,
+  double sync_link_delay(net::LinkDir& dir, sim::Time t, double d_prop,
+                         std::uint64_t& ecn_marks,
                          std::uint64_t& peak_queue_bytes);
-  void push_trace(std::size_t ctx, NodeId node, const obs::TraceEvent& ev);
+  // Execution context of u's events: its shard, or the one classic slot;
+  // and the time there.
+  std::size_t ctx_of(NodeId u) const { return sharded_ ? shard_of_[u] : 0; }
+  sim::Time node_now(NodeId u) const {
+    return sharded_ ? sharded_->shard_now(shard_of_[u]) : engine_.now();
+  }
+  // Emits a trace record from context `ctx` on behalf of `node`: straight
+  // to the recorder, or (sharded) into ctx's canonical-order buffer.
+  void trace(std::size_t ctx, NodeId node, const obs::TraceEvent& ev);
   void flush_sharded_trace();
   void compose_run_stats() const;
 
@@ -344,10 +345,11 @@ class NetworkSimulation {
   // Per-node running index of posted messages: the K-invariant
   // tiebreaker in the barrier-merge key.
   std::vector<std::uint64_t> node_msg_index_;
-  // Message counters split by execution context (one slot per shard,
-  // last slot = globals): each is written only by its owner, folded
-  // into stats_ at read time.  Padded so shards never share a line.
-  struct ShardCounters {
+  // Per-execution-context state (classic: one; sharded: one per shard,
+  // last = globals), each written only by its owner: message counters,
+  // folded into stats_ at read time, and deliver's scratch run.  Padded
+  // so shards never share a line.
+  struct Context {
     alignas(64) std::uint64_t messages_sent = 0;
     std::uint64_t messages_delivered = 0;
     std::uint64_t messages_dropped = 0;
@@ -362,8 +364,9 @@ class NetworkSimulation {
     std::uint64_t ecn_marks = 0;
     std::uint64_t peak_queue_bytes = 0;
     double sync_delay_max = 0.0;
+    std::vector<StoreDelivery> scratch;
   };
-  std::vector<ShardCounters> shard_counters_;
+  std::vector<Context> contexts_ = std::vector<Context>(1);
   // Jump magnitudes accumulate per node and fold in node order, so the
   // float addition order -- and hence the serialized total -- is the
   // same for every shard count.
@@ -387,26 +390,23 @@ class NetworkSimulation {
   std::vector<std::uint64_t> node_trace_seq_;
   std::uint64_t global_trace_seq_ = 0;
   std::vector<clk::HardwareClock> clocks_;
-  // All node state -- DcsaColumns flat arenas by default, or the
+  // The live edges, one half-edge slot per direction (see the file
+  // comment).  Each slot's link FIFO is written only from its sender's
+  // execution context (broadcasts and flow emissions on the sender's
+  // shard, discovery exchanges at barriers), so sharded access is
+  // race-free by ownership.
+  Adjacency adj_;
+  // All node state -- DcsaColumns over adj_ by default, or the
   // AutomatonStore adapter when a NodeFactory was supplied.
   std::unique_ptr<NodeStore> store_;
-  std::vector<std::vector<NodeId>> adjacency_;
-  // Live edges keyed by packed (u << 32 | v): O(1) lookups on the
-  // delivery hot path (the old std::map cost O(log m) comparisons per
-  // message).  Iterated only by current_edges(), which sorts.
-  std::unordered_map<std::uint64_t, EdgeState> edges_;
   std::uint64_t next_incarnation_ = 0;
   std::vector<double> next_broadcast_hw_;
   std::vector<double> last_logical_;  // monotonicity conformance
   // Batched mode: messages staged by the current flush scope in send
   // order; flush_outbox sort-groups them by exact delivery instant.
   std::vector<std::pair<sim::Time, Delivery>> outbox_;
-  // Scratch for deliver_batch's accepted runs (classic mode is
-  // single-threaded, so one buffer serves every batch).
-  std::vector<StoreDelivery> scratch_;
-  // mutable because sharded mode composes the message counters from
-  // shard_counters_/node_jump_ inside the const stats() accessor; the
-  // plain path writes it directly, exactly as before.
+  // mutable because the const stats() accessor composes the message
+  // counters from contexts_ (and, sharded, node_jump_/node_sync_delay_).
   mutable RunStats stats_;
 };
 

@@ -13,8 +13,8 @@
 //
 // Two implementations:
 //   * DcsaColumns (dcsa_columns.hpp) -- flat struct-of-arrays state for
-//     every DCSA variant, the default and the reason this interface
-//     exists.
+//     every DCSA variant, with per-edge estimates in the simulator's
+//     Adjacency: the default and the reason this interface exists.
 //   * AutomatonStore (below) -- adapts a vector of virtual
 //     NodeAutomatons: the reference path the equivalence matrices
 //     compare against, and home to bench_ablation's custom automatons.
@@ -22,6 +22,7 @@
 #define GCS_CORE_NODE_STORE_HPP
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -30,14 +31,17 @@
 namespace gcs::core {
 
 // One message record in a delivery batch.  The simulator resolves the
-// receiver's hardware clock before handing the batch over, so stores
-// never touch clocks.
+// receiver's hardware clock and its Adjacency slot for the sender before
+// handing the batch over, so stores never touch clocks or search edges.
 struct StoreDelivery {
   NodeId from = 0;
   NodeId to = 0;
   double value = 0.0;   // sender's logical clock, sampled at send time
   double hw_now = 0.0;  // receiver's hardware clock at delivery
   double now = 0.0;     // simulation time of delivery
+  // The half-edge to -> from in the simulator's Adjacency
+  // (Adjacency::kNpos: none, so nothing is adopted).
+  std::uint32_t slot = 0xFFFFFFFFu;
 };
 
 // Order-preserving hooks around each record of a batch: before() fires
@@ -58,7 +62,9 @@ class NodeStore {
   virtual std::size_t size() const = 0;
 
   // Lifecycle + topology inputs (always delivered through the
-  // simulator's barrier/global context, never concurrently).
+  // simulator's barrier/global context, never concurrently).  The
+  // simulator has already updated its Adjacency when edge_up/edge_down
+  // arrive.
   virtual void start(const NodeContext& ctx) = 0;
   virtual void edge_up(const NodeContext& ctx, NodeId peer) = 0;
   virtual void edge_down(const NodeContext& ctx, NodeId peer) = 0;

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -125,6 +127,12 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
                                 obs::Recorder* recorder) {
   const core::SyncParams& p = cfg.params;
   if (p.n < 2) throw std::invalid_argument("run_experiment: need n >= 2");
+  // Node ids (and the count, which loops compare ids against) are 32-bit.
+  if (p.n > std::numeric_limits<net::NodeId>::max()) {
+    throw std::invalid_argument(
+        "run_experiment: n = " + std::to_string(p.n) +
+        " exceeds the 32-bit node-id limit 4294967295");
+  }
   if (cfg.horizon <= 0.0 || cfg.sample_dt <= 0.0) {
     throw std::invalid_argument("run_experiment: bad horizon/sample_dt");
   }

@@ -4,7 +4,8 @@
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
-#include <set>
+#include <functional>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -202,41 +203,42 @@ util::json::Value config_to_json(const ExperimentConfig& config) {
 }
 
 ExperimentConfig config_from_json(const util::json::Value& doc) {
-  static const std::set<std::string> kKnown = {
-      "name",   "n",     "rho",      "T",       "D",         "delta_h",
-      "B0",     "topology", "drift", "delay",   "engine",    "delivery",
-      "shards", "store", "traffic",  "variant", "horizon",   "sample_dt",
-      "seed"};
+  ExperimentConfig config;
+  core::SyncParams& p = config.params;
+  using V = util::json::Value;
+  const std::map<std::string, std::function<void(const V&)>> readers = {
+      {"name", [&](const V& v) { config.name = v.as_string(); }},
+      {"n", [&](const V& v) { p.n = static_cast<std::size_t>(v.as_u64()); }},
+      {"rho", [&](const V& v) { p.rho = v.as_number(); }},
+      {"T", [&](const V& v) { p.T = v.as_number(); }},
+      {"D", [&](const V& v) { p.D = v.as_number(); }},
+      {"delta_h", [&](const V& v) { p.delta_h = v.as_number(); }},
+      {"B0", [&](const V& v) { p.B0 = v.as_number(); }},
+      {"topology", [&](const V& v) { config.topology = v.as_string(); }},
+      {"drift", [&](const V& v) { config.drift = v.as_string(); }},
+      {"delay", [&](const V& v) { config.delay = v.as_string(); }},
+      {"engine", [&](const V& v) { config.engine = v.as_string(); }},
+      {"delivery", [&](const V& v) { config.delivery = v.as_string(); }},
+      {"shards", [&](const V& v) { config.shards = v.as_u64(); }},
+      {"store", [&](const V& v) { config.store = v.as_string(); }},
+      {"traffic", [&](const V& v) { config.traffic = v.as_string(); }},
+      {"variant", [&](const V& v) { config.variant = v.as_string(); }},
+      {"horizon", [&](const V& v) { config.horizon = v.as_number(); }},
+      {"sample_dt", [&](const V& v) { config.sample_dt = v.as_number(); }},
+      {"seed", [&](const V& v) { config.seed = v.as_u64(); }}};
   for (const auto& [key, value] : doc.as_object()) {
-    (void)value;
-    if (kKnown.count(key) == 0) {
+    if (readers.count(key) == 0) {
       throw util::json::Error("config: unknown key '" + key + "'");
     }
   }
-  ExperimentConfig config;
-  if (const auto* v = doc.find("name")) config.name = v->as_string();
-  if (const auto* v = doc.find("n")) {
-    config.params.n = static_cast<std::size_t>(v->as_u64());
+  // Missing keys keep their defaults; a type error names its key.
+  for (const auto& [key, value] : doc.as_object()) {
+    try {
+      readers.at(key)(value);
+    } catch (const util::json::Error& e) {
+      throw util::json::Error("config: key '" + key + "': " + e.what());
+    }
   }
-  if (const auto* v = doc.find("rho")) config.params.rho = v->as_number();
-  if (const auto* v = doc.find("T")) config.params.T = v->as_number();
-  if (const auto* v = doc.find("D")) config.params.D = v->as_number();
-  if (const auto* v = doc.find("delta_h")) {
-    config.params.delta_h = v->as_number();
-  }
-  if (const auto* v = doc.find("B0")) config.params.B0 = v->as_number();
-  if (const auto* v = doc.find("topology")) config.topology = v->as_string();
-  if (const auto* v = doc.find("drift")) config.drift = v->as_string();
-  if (const auto* v = doc.find("delay")) config.delay = v->as_string();
-  if (const auto* v = doc.find("engine")) config.engine = v->as_string();
-  if (const auto* v = doc.find("delivery")) config.delivery = v->as_string();
-  if (const auto* v = doc.find("shards")) config.shards = v->as_u64();
-  if (const auto* v = doc.find("store")) config.store = v->as_string();
-  if (const auto* v = doc.find("traffic")) config.traffic = v->as_string();
-  if (const auto* v = doc.find("variant")) config.variant = v->as_string();
-  if (const auto* v = doc.find("horizon")) config.horizon = v->as_number();
-  if (const auto* v = doc.find("sample_dt")) config.sample_dt = v->as_number();
-  if (const auto* v = doc.find("seed")) config.seed = v->as_u64();
   return config;
 }
 

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "core/adjacency.hpp"
 #include "core/dcsa_columns.hpp"
 #include "core/network_sim.hpp"
 #include "core/weighted_dcsa_node.hpp"
@@ -147,6 +149,56 @@ struct JumpSink : gcs::core::DeliverySink {
   }
 };
 
+// The columns store driven the way NetworkSimulation drives it: up() and
+// down() insert and erase half-edges in the Adjacency (a fresh estimate
+// stamped with the node's hardware time), and a delivery carries the
+// receiver's slot for the sender, resolved at delivery time.
+struct ColumnsRig {
+  ColumnsRig(const gcs::core::SyncParams& p, std::size_t n,
+             gcs::core::Variant variant = gcs::core::Variant{})
+      : adj(n), cols(p, adj, variant) {
+    for (gcs::core::NodeId u = 0; u < n; ++u) cols.start(at(u, 0.0));
+  }
+  ColumnsRig(const ColumnsRig&) = delete;
+  ColumnsRig& operator=(const ColumnsRig&) = delete;
+
+  void up(gcs::core::NodeId u, gcs::core::NodeId peer, double hw) {
+    adj.insert(u, peer, 0, hw, hw);
+    cols.edge_up(at(u, hw), peer);
+  }
+  void down(gcs::core::NodeId u, gcs::core::NodeId peer, double hw) {
+    const std::uint32_t s = adj.find(u, peer);
+    if (s != gcs::core::Adjacency::kNpos) adj.erase(u, s);
+    cols.edge_down(at(u, hw), peer);
+  }
+  // Delivers `value` from -> to at hardware time hw; returns the jump.
+  double deliver(gcs::core::NodeId from, gcs::core::NodeId to, double value,
+                 double hw) {
+    gcs::core::StoreDelivery d;
+    d.from = from;
+    d.to = to;
+    d.value = value;
+    d.hw_now = hw;
+    d.now = hw;
+    d.slot = adj.find(to, from);
+    JumpSink sink;
+    cols.on_deliveries(&d, 1, sink);
+    EXPECT_EQ(sink.jumps.size(), 1u);
+    return sink.jumps.at(0);
+  }
+  // u's peers in segment order.
+  std::vector<gcs::core::NodeId> peers(gcs::core::NodeId u) const {
+    std::vector<gcs::core::NodeId> out;
+    for (std::uint32_t s = adj.begin(u); s < adj.end(u); ++s) {
+      out.push_back(adj.peer(s));
+    }
+    return out;
+  }
+
+  gcs::core::Adjacency adj;
+  gcs::core::DcsaColumns cols;
+};
+
 // The struct-of-arrays store must reproduce DcsaNode's arithmetic bit
 // for bit under every variant: same deliveries, same jumps, same logical
 // clocks, same fast flag -- including across edge churn that exercises
@@ -162,41 +214,33 @@ TEST(DcsaColumns, MirrorsDcsaNodeBitForBit) {
       SCOPED_TRACE(std::string(spec) + " base " + std::to_string(base));
       const auto variant = gcs::core::Variant::parse(spec);
       gcs::core::DcsaNode node(p, variant);
-      gcs::core::DcsaColumns cols(p, 4, variant);
+      ColumnsRig rig(p, 4, variant);
 
       const gcs::core::NodeContext zero = at(0, 0.0);
       node.start(zero);
-      for (gcs::core::NodeId u = 0; u < 4; ++u) cols.start(at(u, 0.0));
       for (gcs::core::NodeId peer : {1u, 2u, 3u}) {
         node.on_edge_up(zero, peer);
-        cols.edge_up(zero, peer);
+        rig.up(0, peer, 0.0);
       }
 
-      JumpSink sink;
       std::vector<double> node_jumps;
       const double values[] = {7.5, -3.25, 12.0, 11.875, 0.5, 40.0};
       double hw = base + 0.5;
       for (std::size_t k = 0; k < 6; ++k, hw += 0.625) {
         const gcs::core::NodeId from = 1 + (k % 3);
-        gcs::core::StoreDelivery d;
-        d.from = from;
-        d.to = 0;
-        d.value = base + values[k];
-        d.hw_now = hw;
-        d.now = hw;
-        node.on_message(at(0, hw), from, d.value);
+        const double value = base + values[k];
+        node.on_message(at(0, hw), from, value);
         node_jumps.push_back(node.step(at(0, hw)));
-        cols.on_deliveries(&d, 1, sink);
-        ASSERT_EQ(sink.jumps.size(), k + 1);
-        EXPECT_EQ(sink.jumps[k], node_jumps[k]) << "record " << k;
-        EXPECT_EQ(cols.logical_clock(0, hw), node.logical_clock(hw));
-        EXPECT_EQ(cols.fast_mode(0), node.fast_mode());
+        EXPECT_EQ(rig.deliver(from, 0, value, hw), node_jumps[k])
+            << "record " << k;
+        EXPECT_EQ(rig.cols.logical_clock(0, hw), node.logical_clock(hw));
+        EXPECT_EQ(rig.cols.fast_mode(0), node.fast_mode());
 
         if (k == 2) {  // churn an edge mid-stream: both must forget peer 2
           node.on_edge_down(at(0, hw), 2);
-          cols.edge_down(at(0, hw), 2);
+          rig.down(0, 2, hw);
           node.on_edge_up(at(0, hw), 2);
-          cols.edge_up(at(0, hw), 2);
+          rig.up(0, 2, hw);
         }
       }
       if (base == 0.0) continue;
@@ -210,78 +254,63 @@ TEST(DcsaColumns, MirrorsDcsaNodeBitForBit) {
 }
 
 // Slot-arena mechanics: segments grow past the initial capacity by
-// relocation, edge_down swap-removes, and the books (live_slots,
-// arena_bytes) stay consistent.
+// relocation, erase shifts the segment tail down keeping insertion
+// order, and the books (live_slots, arena_bytes) stay consistent.
 TEST(DcsaColumns, SlotArenaGrowsAndShrinks) {
   const auto p = small_params(64);
-  gcs::core::DcsaColumns cols(p, 64);
-  for (gcs::core::NodeId u = 0; u < 64; ++u) cols.start(at(u, 0.0));
+  ColumnsRig rig(p, 64);
 
   // Degree 12 on node 0 forces two relocations (cap 4 -> 8 -> 16).
-  for (gcs::core::NodeId peer = 1; peer <= 12; ++peer) {
-    cols.edge_up(at(0, 0.0), peer);
-  }
-  EXPECT_EQ(cols.live_slots(), 12u);
-  EXPECT_GT(cols.arena_bytes(), 0u);
+  for (gcs::core::NodeId peer = 1; peer <= 12; ++peer) rig.up(0, peer, 0.0);
+  EXPECT_EQ(rig.adj.live_slots(), 12u);
+  EXPECT_GT(rig.cols.arena_bytes(), 0u);
 
-  for (gcs::core::NodeId peer = 1; peer <= 12; ++peer) {
-    cols.edge_down(at(0, 1.0), peer);
-  }
-  EXPECT_EQ(cols.live_slots(), 0u);
+  // A middle removal keeps the survivors in insertion order: classic
+  // broadcasts walk the segment and draw delays in that order.
+  rig.down(0, 6, 1.0);
+  EXPECT_EQ(rig.peers(0), (std::vector<gcs::core::NodeId>{1, 2, 3, 4, 5, 7, 8,
+                                                          9, 10, 11, 12}));
+  EXPECT_EQ(rig.adj.live_slots(), 11u);
+
+  for (gcs::core::NodeId peer = 1; peer <= 12; ++peer) rig.down(0, peer, 1.0);
+  EXPECT_EQ(rig.adj.live_slots(), 0u);
+  EXPECT_TRUE(rig.peers(0).empty());
 
   // Re-adding after a full teardown reuses the segment cleanly.
-  cols.edge_up(at(0, 2.0), 5);
-  EXPECT_EQ(cols.live_slots(), 1u);
-  gcs::core::StoreDelivery d;
-  d.from = 5;
-  d.to = 0;
-  d.value = 100.0;
-  d.hw_now = 2.0;
-  d.now = 2.0;
-  JumpSink sink;
-  cols.on_deliveries(&d, 1, sink);
-  EXPECT_GT(sink.jumps.at(0), 0.0);
-  EXPECT_EQ(cols.logical_clock(0, 2.0), 100.0);
+  rig.up(0, 5, 2.0);
+  EXPECT_EQ(rig.adj.live_slots(), 1u);
+  EXPECT_GT(rig.deliver(5, 0, 100.0, 2.0), 0.0);
+  EXPECT_EQ(rig.cols.logical_clock(0, 2.0), 100.0);
 }
 
 // Adversarial grow/shrink churn on one segment: estimates set before a
 // cap-doubling relocation must ride along to the new region bit-exact,
-// swap-removes at the head/middle/tail of the segment must not corrupt
+// removals at the head/middle/tail of the segment must not corrupt
 // survivors, and reclaimed slots must come back clean -- all mirrored
 // delivery-for-delivery against the adapter-store automaton.
 TEST(DcsaColumns, AdversarialChurnKeepsRelocatedSegmentsBitExact) {
   const auto p = small_params(64);
   gcs::core::DcsaNode node(p);
-  gcs::core::DcsaColumns cols(p, 64);
+  ColumnsRig rig(p, 64);
   node.start(at(0, 0.0));
-  for (gcs::core::NodeId u = 0; u < 64; ++u) cols.start(at(u, 0.0));
 
-  JumpSink sink;
   double hw = 0.25;
   auto deliver = [&](gcs::core::NodeId from, double value) {
-    gcs::core::StoreDelivery d;
-    d.from = from;
-    d.to = 0;
-    d.value = value;
-    d.hw_now = hw;
-    d.now = hw;
     node.on_message(at(0, hw), from, value);
     const double want = node.step(at(0, hw));
-    sink.jumps.clear();
-    cols.on_deliveries(&d, 1, sink);
-    ASSERT_EQ(sink.jumps.size(), 1u);
-    EXPECT_EQ(sink.jumps[0], want) << "from " << from << " at hw " << hw;
-    EXPECT_EQ(cols.logical_clock(0, hw), node.logical_clock(hw));
-    EXPECT_EQ(cols.fast_mode(0), node.fast_mode());
+    EXPECT_EQ(rig.deliver(from, 0, value, hw), want)
+        << "from " << from << " at hw " << hw;
+    EXPECT_EQ(rig.cols.logical_clock(0, hw), node.logical_clock(hw));
+    EXPECT_EQ(rig.cols.fast_mode(0), node.fast_mode());
     hw += 0.375;
   };
   auto up = [&](gcs::core::NodeId peer) {
     node.on_edge_up(at(0, hw), peer);
-    cols.edge_up(at(0, hw), peer);
+    rig.up(0, peer, hw);
   };
   auto down = [&](gcs::core::NodeId peer) {
     node.on_edge_down(at(0, hw), peer);
-    cols.edge_down(at(0, hw), peer);
+    rig.down(0, peer, hw);
   };
 
   // Grow through three relocations (cap 4 -> 8 -> 16 -> 32), delivering
@@ -290,14 +319,14 @@ TEST(DcsaColumns, AdversarialChurnKeepsRelocatedSegmentsBitExact) {
     up(peer);
     deliver(peer, 3.0 * peer + 0.125);
   }
-  EXPECT_EQ(cols.live_slots(), 20u);
+  EXPECT_EQ(rig.adj.live_slots(), 20u);
 
-  // Swap-remove the segment's first, middle, and last slot, then hear
-  // from every survivor (a stale or mis-copied slot diverges instantly).
+  // Remove the segment's first, middle, and last slot, then hear from
+  // every survivor (a stale or mis-copied slot diverges instantly).
   down(1);
   down(10);
   down(20);
-  EXPECT_EQ(cols.live_slots(), 17u);
+  EXPECT_EQ(rig.adj.live_slots(), 17u);
   for (gcs::core::NodeId peer = 2; peer <= 19; ++peer) {
     if (peer == 10) continue;
     deliver(peer, 100.0 + peer);
@@ -314,7 +343,7 @@ TEST(DcsaColumns, AdversarialChurnKeepsRelocatedSegmentsBitExact) {
     up(peer);
     deliver(peer, 50.0 + peer);
   }
-  EXPECT_EQ(cols.live_slots(), 40u);
+  EXPECT_EQ(rig.adj.live_slots(), 40u);
 }
 
 // The hole-threshold compaction must actually fire under churn -- the
@@ -326,69 +355,50 @@ TEST(DcsaColumns, AdversarialChurnKeepsRelocatedSegmentsBitExact) {
 TEST(DcsaColumns, HoleCompactionFiresAndPreservesSegments) {
   const std::size_t n = 600;
   const auto p = small_params(n);
-  gcs::core::DcsaColumns cols(p, n);
+  ColumnsRig rig(p, n);
   std::vector<gcs::core::DcsaNode> nodes(n, gcs::core::DcsaNode(p));
-  for (gcs::core::NodeId u = 0; u < n; ++u) {
-    nodes[u].start(at(u, 0.0));
-    cols.start(at(u, 0.0));
-  }
+  for (gcs::core::NodeId u = 0; u < n; ++u) nodes[u].start(at(u, 0.0));
 
   // Degree 9 everywhere: two relocations per node (cap 4 -> 8 -> 16),
   // 12 holes a node, so holes cross the 4096 absolute floor and a
   // quarter of the arena a bit past node 340.  arena_bytes() shrinking
-  // across an edge_up is the compaction firing.
-  JumpSink sink;
+  // across an insert is the compaction firing.
   std::size_t compactions = 0;
-  std::size_t prev_bytes = cols.arena_bytes();
+  std::size_t prev_bytes = rig.cols.arena_bytes();
   for (gcs::core::NodeId u = 0; u < n; ++u) {
     for (gcs::core::NodeId k = 1; k <= 9; ++k) {
       const gcs::core::NodeId peer = (u + k) % n;
       nodes[u].on_edge_up(at(u, 0.0), peer);
-      cols.edge_up(at(u, 0.0), peer);
-      if (cols.arena_bytes() < prev_bytes) ++compactions;
-      prev_bytes = cols.arena_bytes();
+      rig.up(u, peer, 0.0);
+      if (rig.cols.arena_bytes() < prev_bytes) ++compactions;
+      prev_bytes = rig.cols.arena_bytes();
       if (k == 5) {  // a mid-growth estimate the rebuild must carry
-        gcs::core::StoreDelivery d;
-        d.from = peer;
-        d.to = u;
-        d.value = 0.5 + 0.001 * u;
-        d.hw_now = 0.5;
-        d.now = 0.5;
-        nodes[u].on_message(at(u, 0.5), peer, d.value);
+        const double value = 0.5 + 0.001 * u;
+        nodes[u].on_message(at(u, 0.5), peer, value);
         const double want = nodes[u].step(at(u, 0.5));
-        sink.jumps.clear();
-        cols.on_deliveries(&d, 1, sink);
-        ASSERT_EQ(sink.jumps.at(0), want) << "node " << u;
+        ASSERT_EQ(rig.deliver(peer, u, value, 0.5), want) << "node " << u;
       }
     }
   }
   EXPECT_GE(compactions, 1u);
-  EXPECT_EQ(cols.live_slots(), n * 9u);
+  EXPECT_EQ(rig.adj.live_slots(), n * 9u);
 
   // Segments on both sides of the compaction point still mirror the
   // adapter automatons exactly, pre-rebuild estimates included.
   double hw = 1.0;
   for (gcs::core::NodeId u : {0u, 200u, 341u, 342u, 599u}) {
-    gcs::core::StoreDelivery d;
-    d.from = (u + 3) % n;
-    d.to = u;
-    d.value = 500.0 + u;
-    d.hw_now = hw;
-    d.now = hw;
-    nodes[u].on_message(at(u, hw), d.from, d.value);
+    const gcs::core::NodeId from = (u + 3) % n;
+    const double value = 500.0 + u;
+    nodes[u].on_message(at(u, hw), from, value);
     const double want = nodes[u].step(at(u, hw));
-    sink.jumps.clear();
-    cols.on_deliveries(&d, 1, sink);
-    ASSERT_EQ(sink.jumps.at(0), want) << "node " << u;
-    EXPECT_EQ(cols.logical_clock(u, hw), nodes[u].logical_clock(hw));
+    ASSERT_EQ(rig.deliver(from, u, value, hw), want) << "node " << u;
+    EXPECT_EQ(rig.cols.logical_clock(u, hw), nodes[u].logical_clock(hw));
     hw += 0.5;
   }
 
-  // edge_down still finds every relocated-and-rebuilt slot.
-  for (gcs::core::NodeId u = 0; u < n; ++u) {
-    cols.edge_down(at(u, 2.0), (u + 1) % n);
-  }
-  EXPECT_EQ(cols.live_slots(), n * 8u);
+  // find() still locates every relocated-and-rebuilt slot.
+  for (gcs::core::NodeId u = 0; u < n; ++u) rig.down(u, (u + 1) % n, 2.0);
+  EXPECT_EQ(rig.adj.live_slots(), n * 8u);
 }
 
 // End-to-end store equivalence at the simulation layer: the columns
@@ -440,6 +450,67 @@ TEST(NetworkSimulation, ColumnsMatchesAdapterTrajectory) {
   // The adapter exposes per-node automatons, the columns store does not.
   EXPECT_NO_THROW(adapter.node(0));
   EXPECT_THROW(columns.node(0), std::logic_error);
+}
+
+// A message in flight when its edge goes down and comes back up before
+// the delivery instant belongs to the dead incarnation: it is dropped,
+// and the receiver adopts nothing from it -- in every delivery mode and
+// on both stores.  Node 0 runs fast, so an adopted value would jump
+// node 1 forward.
+TEST(NetworkSimulation, AdjacencyDropsMessageAcrossEdgeReAdd) {
+  auto p = small_params(2);
+  p.delta_h = 10.0;  // node 0 broadcasts once, at hw 5; node 1 at hw 10
+  const double send_t = 5.0 / (1.0 + p.rho);
+  const double arrive_t = send_t + 0.5;
+  const std::vector<gcs::net::TopologyEvent> events = {
+      {send_t + 0.1, gcs::net::Edge(0, 1), false},
+      {send_t + 0.2, gcs::net::Edge(0, 1), true}};
+  struct Mode {
+    const char* name;
+    bool batched;
+    std::size_t shards;
+  };
+  for (const Mode mode : {Mode{"batched", true, 0},
+                          Mode{"per-receiver", false, 0},
+                          Mode{"shards=2", true, 2}}) {
+    for (const bool adapter : {false, true}) {
+      SCOPED_TRACE(std::string(mode.name) +
+                   (adapter ? " adapter" : " columns"));
+      gcs::core::SimOptions opts;
+      opts.batched_delivery = mode.batched;
+      opts.shards = mode.shards;
+      std::vector<gcs::clk::RateSchedule> schedules;
+      schedules.emplace_back(1.0 + p.rho);
+      schedules.emplace_back(1.0 - p.rho);
+      gcs::core::NetworkSimulation::NodeFactory factory;
+      if (adapter) {
+        factory = [&p](gcs::core::NodeId) {
+          return std::make_unique<gcs::core::DcsaNode>(p);
+        };
+      }
+      gcs::core::NetworkSimulation sim(
+          p, gcs::net::DynamicGraph(2, {gcs::net::Edge(0, 1)}, events),
+          gcs::net::make_constant_delay(p.T, 0.5), std::move(schedules),
+          factory, opts);
+
+      sim.run_until(arrive_t + 0.05);
+      EXPECT_EQ(sim.stats().messages_sent, 3u);  // broadcast + discovery pair
+      EXPECT_EQ(sim.stats().messages_dropped, 1u);
+      EXPECT_EQ(sim.stats().messages_delivered, 0u);
+      EXPECT_EQ(sim.stats().jumps, 0u);
+      EXPECT_EQ(sim.logical_clock(1), sim.hardware_clock(1));
+      EXPECT_EQ(sim.current_edges().size(), 1u);
+      EXPECT_NEAR(sim.edge_age(gcs::net::Edge(0, 1)), 0.35, 1e-9);
+
+      // The new incarnation's discovery exchange does get through, and
+      // node 1 catches up to node 0 from it.
+      sim.run_until(arrive_t + 0.5);
+      EXPECT_EQ(sim.stats().messages_dropped, 1u);
+      EXPECT_EQ(sim.stats().messages_delivered, 2u);
+      EXPECT_GE(sim.stats().jumps, 1u);
+      EXPECT_GT(sim.logical_clock(1), sim.hardware_clock(1));
+    }
+  }
 }
 
 }  // namespace

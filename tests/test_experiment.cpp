@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 
 #include "net/scenario.hpp"
@@ -94,6 +95,33 @@ TEST(RunExperiment, RejectsBadConfigs) {
   cfg = small_config();
   cfg.delivery = "multicast";
   EXPECT_THROW(gcs::harness::run_experiment(cfg), std::invalid_argument);
+
+  // These must fail fast with a message naming the culprit: a zero
+  // broadcast period used to livelock the run, a negative one died on a
+  // non-finite engine time, and n past the 32-bit node ids ran into
+  // std::bad_alloc.
+  const auto expect_named = [](const gcs::harness::ExperimentConfig& bad,
+                               const std::string& name) {
+    try {
+      gcs::harness::run_experiment(bad);
+      ADD_FAILURE() << name << ": accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+  };
+  for (const double delta_h : {0.0, -1.0, std::nan("")}) {
+    cfg = small_config();
+    cfg.params.delta_h = delta_h;
+    expect_named(cfg, "delta_h");
+  }
+  for (const std::size_t n :
+       {std::size_t{4294967296}, std::size_t{4294967297}}) {
+    cfg = small_config();
+    cfg.params.n = n;
+    expect_named(cfg, "n = " + std::to_string(n));
+    expect_named(cfg, "4294967295");
+  }
 }
 
 TEST(RunExperiment, EngineAndDeliveryKnobsAreTrajectoryNeutral) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "harness/experiment.hpp"
 #include "util/json.hpp"
 
@@ -223,6 +225,21 @@ TEST(Serialize, ConfigReaderDefaultsMissingAndRejectsUnknownKeys) {
   EXPECT_THROW(
       harness::config_from_json(json::parse(R"({"topologyy": "ring"})")),
       json::Error);
+
+  // A value of the wrong type names its key.
+  for (const char* key : {"n", "rho", "B0", "shards", "seed", "name"}) {
+    const std::string bad = std::string(key) == "name" ? "7" : "\"8x\"";
+    try {
+      harness::config_from_json(
+          json::parse("{\"" + std::string(key) + "\": " + bad + "}"));
+      ADD_FAILURE() << key << ": accepted " << bad;
+    } catch (const json::Error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(
+                    "config: key '" + std::string(key) + "': ", 0),
+                0u)
+          << e.what();
+    }
+  }
 }
 
 TEST(Serialize, RunningAndReloadingAgree) {
