@@ -109,6 +109,11 @@ std::string csv_row(const Campaign& campaign, const Cell& cell,
 std::vector<std::string> audit_cell(const harness::ExperimentResult& result,
                                     const fs::path& cell_path) {
   std::vector<std::string> failures;
+  if (result.samples == 0) {
+    // Skews (and, sharded, the envelope) are audited at samples only.
+    failures.push_back("no samples taken (sample_dt exceeds horizon), so "
+                       "the skew bounds were never audited");
+  }
   if (result.global_violations > 0) {
     failures.push_back("global skew bound violated " +
                        std::to_string(result.global_violations) + " time(s)");

@@ -87,7 +87,7 @@ NetworkSimulation::NetworkSimulation(const SyncParams& params,
       rng_(options.seed),
       audit_sweep_(graph.initial_edges(), graph.events(),
                    params.T + params.D),
-      engine_(options.engine_policy),
+      sharded_(options.shards > 0),
       adj_(graph.n()) {
   const std::size_t n = graph.n();
   if (schedules.size() != n) {
@@ -128,7 +128,7 @@ NetworkSimulation::NetworkSimulation(const SyncParams& params,
   }
   last_logical_.assign(n, 0.0);
 
-  if (options_.shards > 0) {
+  if (sharded_) {
     if (options_.shards > 256) {
       throw std::invalid_argument(
           "NetworkSimulation: shards capped at 256 (one thread per shard)");
@@ -144,12 +144,6 @@ NetworkSimulation::NetworkSimulation(const SyncParams& params,
           "NetworkSimulation: delay floor exceeds its bound");
     }
     const std::size_t k = std::min<std::size_t>(options_.shards, n);
-    // The lookahead window is the PROPAGATION floor even with a traffic
-    // pipeline configured: queueing only adds delay on top of the
-    // propagation draw, so total >= prop >= floor and the barrier-merge
-    // contract holds under any load (see the class comment).
-    sharded_ = std::make_unique<sim::ShardedEngine>(k, link_.prop.floor,
-                                                    options_.engine_policy);
     shard_of_.resize(n);
     for (std::size_t u = 0; u < n; ++u) {
       // Contiguous blocks, a function of (u, k, n) only -- never of the
@@ -169,17 +163,18 @@ NetworkSimulation::NetworkSimulation(const SyncParams& params,
       node_trace_seq_.assign(n, 0);
     }
   }
+  // The lookahead window is the PROPAGATION floor even with a traffic
+  // pipeline configured: queueing only adds delay on top of the
+  // propagation draw, so total >= prop >= floor and the barrier-merge
+  // contract holds under any load (see the class comment).
+  engine_ = std::make_unique<sim::ShardedEngine>(
+      contexts_.size() - 1, link_.prop.floor, options_.engine_policy);
 
   for (const net::Edge& e : graph.initial_edges()) add_edge(e, 0.0, true);
-  // Every topology event is scheduled up front (sharded: as a global,
-  // run at a barrier with every shard parked).
+  // Every topology event is scheduled up front as a global (sharded: run
+  // at a barrier with every shard parked).
   for (const net::TopologyEvent& ev : graph.events()) {
-    auto fn = [this, ev] { apply_event(ev); };
-    if (sharded_) {
-      sharded_->at_global(ev.at, std::move(fn));
-    } else {
-      engine_.at(ev.at, std::move(fn));
-    }
+    engine_->at_global(ev.at, [this, ev] { apply_event(ev); });
   }
 
   // Broadcast phases are staggered across the first delta_h so that
@@ -193,17 +188,11 @@ NetworkSimulation::NetworkSimulation(const SyncParams& params,
 }
 
 void NetworkSimulation::run_until(sim::Time t) {
-  if (sharded_) {
-    sharded_->run_until(t);
-    flush_sharded_trace();
-  } else {
-    engine_.run_until(t);
-  }
+  engine_->run_until(t);
+  flush_sharded_trace();
   if (engine_clamped_count() > 0) {
-    stats_.first_clamped_time = sharded_ ? sharded_->first_clamped_time()
-                                         : engine_.first_clamped_time();
-    stats_.first_clamped_seq = sharded_ ? sharded_->first_clamped_seq()
-                                        : engine_.first_clamped_seq();
+    stats_.first_clamped_time = engine_->first_clamped_time();
+    stats_.first_clamped_seq = engine_->first_clamped_seq();
   }
   // Audit the paper's standing assumption over the (T+D)-windows newly
   // completed by this call; the sweep's delta cursor makes repeated
@@ -219,18 +208,11 @@ void NetworkSimulation::run_until(sim::Time t) {
 
 sim::PeriodicId NetworkSimulation::schedule_periodic(
     sim::Time start, sim::Duration period, std::function<void(sim::Time)> fn) {
-  // Samplers may read any node's state, so in sharded mode they are
-  // globals: they fire at barriers with every shard parked.
-  if (sharded_) return sharded_->every_global(start, period, std::move(fn));
-  return engine_.every(start, period, std::move(fn));
+  return engine_->every_global(start, period, std::move(fn));
 }
 
 void NetworkSimulation::cancel_periodic(sim::PeriodicId id) {
-  if (sharded_) {
-    sharded_->cancel_every_global(id);
-    return;
-  }
-  engine_.cancel_every(id);
+  engine_->cancel_every_global(id);
 }
 
 double NetworkSimulation::logical_clock(NodeId u) const {
@@ -293,7 +275,7 @@ void NetworkSimulation::apply_event(const net::TopologyEvent& ev) {
     const obs::TraceEvent record{obs::TraceEvent::Kind::kTopology, t,
                                  ev.edge.u, ev.edge.v, 0.0, 0.0, ev.add};
     if (sharded_) {
-      trace_bufs_[sharded_->global_ctx()].push_back(
+      trace_bufs_[engine_->global_ctx()].push_back(
           PendingTrace{record, 0, global_trace_seq_++, true});
     } else {
       recorder_->on_trace(record);
@@ -323,7 +305,7 @@ void NetworkSimulation::add_edge(const net::Edge& e, sim::Time t,
     // inserts: the second may have relocated u's segment).  Topology
     // deltas run in the global context (shards parked), so reading
     // either endpoint's clock here is safe for any partition.
-    const std::size_t ctx = sharded_ ? sharded_->global_ctx() : 0;
+    const std::size_t ctx = engine_->global_ctx();
     send(ctx, e.u, adj_.end(e.u) - 1, store_->logical_clock(e.u, hw_u), t);
     send(ctx, e.v, adj_.end(e.v) - 1, store_->logical_clock(e.v, hw_v), t);
     flush_outbox();
@@ -342,18 +324,9 @@ void NetworkSimulation::remove_edge(const net::Edge& e, sim::Time t) {
   store_->edge_down(NodeContext{e.v, clocks_[e.v].value_at(t), t}, e.u);
 }
 
-void NetworkSimulation::at_node(NodeId u, sim::Time t,
-                                std::function<void()> fn) {
-  if (sharded_) {
-    sharded_->at(shard_of_[u], t, std::move(fn));
-  } else {
-    engine_.at(t, std::move(fn));
-  }
-}
-
 void NetworkSimulation::schedule_broadcast(NodeId u) {
-  at_node(u, clocks_[u].time_when(next_broadcast_hw_[u]),
-          [this, u] { broadcast(u); });
+  engine_->at(ctx_of(u), clocks_[u].time_when(next_broadcast_hw_[u]),
+              [this, u] { broadcast(u); });
 }
 
 void NetworkSimulation::broadcast(NodeId u) {
@@ -397,23 +370,21 @@ void NetworkSimulation::send(std::size_t ctx, NodeId from, std::uint32_t slot,
   }
   if (sharded_) {
     node_sync_delay_[from] += d;
-    ++c.delivery_events;  // one event per message
-    // Staged through the sharded engine's outbox under the canonical
-    // (t, send_t, origin, index) key.
-    sharded_->post(ctx, shard_of_[m.to], t + d,
-                   sim::PostKey{t, from, node_msg_index_[from]++},
-                   [this, m] { deliver(&m, 1); });
-    return;
+  } else {
+    stats_.sync_delay_sum += d;
+    if (options_.batched_delivery) {
+      // Stage for the flush; delays are sampled per receiver in send
+      // order either way, so the two modes draw identical randomness.
+      outbox_.emplace_back(t + d, m);
+      return;
+    }
   }
-  stats_.sync_delay_sum += d;
-  if (!options_.batched_delivery) {
-    ++c.delivery_events;
-    engine_.at(t + d, [this, m] { deliver(&m, 1); });
-    return;
-  }
-  // Stage for the flush; delays are sampled per receiver in send order
-  // either way, so the two modes draw identical randomness.
-  outbox_.emplace_back(t + d, m);
+  ++c.delivery_events;  // one event per message
+  // Sharded: staged through the engine's outbox under the canonical
+  // (t, send_t, origin, index) key.  Classic: scheduled directly.
+  engine_->post(ctx, ctx_of(m.to), t + d,
+                sim::PostKey{t, from, sharded_ ? node_msg_index_[from]++ : 0},
+                [this, m] { deliver(&m, 1); });
 }
 
 void NetworkSimulation::flush_outbox() {
@@ -421,10 +392,15 @@ void NetworkSimulation::flush_outbox() {
   // Group by exact delivery instant.  The sort is stable so same-instant
   // messages keep their send order -- that, plus the fact that distinct
   // instants are ordered by time regardless of seq, is what makes
-  // batched delivery trajectory-identical to per-receiver mode.
-  std::stable_sort(
-      outbox_.begin(), outbox_.end(),
-      [](const auto& a, const auto& b) { return a.first < b.first; });
+  // batched delivery trajectory-identical to per-receiver mode.  An
+  // outbox already in time order (one message, or a constant delay) is
+  // left alone: std::stable_sort allocates a buffer on every call.
+  const auto earlier = [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  };
+  if (!std::is_sorted(outbox_.begin(), outbox_.end(), earlier)) {
+    std::stable_sort(outbox_.begin(), outbox_.end(), earlier);
+  }
   for (std::size_t i = 0; i < outbox_.size();) {
     std::size_t j = i + 1;
     while (j < outbox_.size() && outbox_[j].first == outbox_[i].first) ++j;
@@ -433,13 +409,13 @@ void NetworkSimulation::flush_outbox() {
       // Uncoalesced instant (the common case under continuous delay
       // distributions): skip the batch vector, schedule the delivery
       // directly -- same cost as per-receiver mode.
-      engine_.at(outbox_[i].first,
-                 [this, m = outbox_[i].second] { deliver(&m, 1); });
+      engine_->at(0, outbox_[i].first,
+                  [this, m = outbox_[i].second] { deliver(&m, 1); });
     } else {
       std::vector<Delivery> batch;
       batch.reserve(j - i);
       for (std::size_t k = i; k < j; ++k) batch.push_back(outbox_[k].second);
-      engine_.at(outbox_[i].first, [this, batch = std::move(batch)] {
+      engine_->at(0, outbox_[i].first, [this, batch = std::move(batch)] {
         deliver(batch.data(), batch.size());
       });
     }
@@ -510,7 +486,7 @@ void NetworkSimulation::start_flows(const net::Edge& e,
         t + period * net::flow_phase(2 * key + static_cast<std::uint64_t>(i));
     // add_edge runs at barriers (or in the constructor) with every
     // shard parked, exactly the context ShardedEngine::at allows.
-    at_node(from, first, [this, from, to, incarnation] {
+    engine_->at(ctx_of(from), first, [this, from, to, incarnation] {
       flow_emit(from, to, incarnation);
     });
   }
@@ -530,8 +506,10 @@ void NetworkSimulation::flow_emit(NodeId from, NodeId to,
   if (dec.marked) ++c.ecn_marks;
   c.peak_queue_bytes = std::max(c.peak_queue_bytes,
                                 static_cast<std::uint64_t>(dec.backlog_bytes));
-  at_node(from, t + link_.traffic.flow_period(),
-          [this, from, to, incarnation] { flow_emit(from, to, incarnation); });
+  engine_->at(ctx_of(from), t + link_.traffic.flow_period(),
+              [this, from, to, incarnation] {
+                flow_emit(from, to, incarnation);
+              });
 }
 
 void NetworkSimulation::trace(std::size_t ctx, NodeId node,
@@ -571,12 +549,7 @@ void NetworkSimulation::flush_sharded_trace() {
 }
 
 const RunStats& NetworkSimulation::stats() const {
-  compose_run_stats();
   stats_.arena_bytes = store_->arena_bytes();
-  return stats_;
-}
-
-void NetworkSimulation::compose_run_stats() const {
   stats_.messages_sent = 0;
   stats_.messages_delivered = 0;
   stats_.messages_dropped = 0;
@@ -606,7 +579,7 @@ void NetworkSimulation::compose_run_stats() const {
   }
   // Classic runs sum the float totals in event order and audit the
   // envelope per delivery, straight into stats_.
-  if (!sharded_) return;
+  if (!sharded_) return stats_;
   stats_.total_jump = 0.0;
   for (const double jump : node_jump_) stats_.total_jump += jump;
   // Like total_jump: per-sender sums folded in node order keep the float
@@ -617,6 +590,7 @@ void NetworkSimulation::compose_run_stats() const {
   // (see Sink::after); these stay zero for every shard count.
   stats_.conformance_checks = 0;
   stats_.conformance_envelope_failures = 0;
+  return stats_;
 }
 
 void NetworkSimulation::check_edge_conformance(const StoreDelivery& d) {
@@ -627,7 +601,7 @@ void NetworkSimulation::check_edge_conformance(const StoreDelivery& d) {
   // age and hence the loosest envelope any conforming node could be
   // holding, so checking against it never reports a false violation.
   const double age_hw =
-      (1.0 - params_.rho) * (engine_.now() - adj_.up_time(d.slot));
+      (1.0 - params_.rho) * (now() - adj_.up_time(d.slot));
   const double allowed = bfunc_(age_hw) + options_.conformance_slack;
   const double observed = std::abs(skew(e.u, e.v));
   const bool violated = observed > allowed;
@@ -635,7 +609,7 @@ void NetworkSimulation::check_edge_conformance(const StoreDelivery& d) {
     ++stats_.conformance_envelope_failures;
   }
   if (trace_) {
-    recorder_->on_trace({obs::TraceEvent::Kind::kConformance, engine_.now(),
+    recorder_->on_trace({obs::TraceEvent::Kind::kConformance, now(),
                          e.u, e.v, observed, allowed, violated});
   }
 }

@@ -49,7 +49,6 @@
 #include "net/dynamic_graph.hpp"
 #include "net/link.hpp"
 #include "obs/recorder.hpp"
-#include "sim/engine.hpp"
 #include "sim/sharded_engine.hpp"
 #include "util/rng.hpp"
 
@@ -75,17 +74,17 @@ struct SimOptions {
   // the trajectory bit-identical (the obs tests prove it).  Not owned;
   // must outlive the simulation.
   obs::Recorder* recorder = nullptr;
-  // In-cell parallelism: partition the nodes into this many shards and
-  // drive them with sim::ShardedEngine (conservative lookahead on the
-  // delay floor).  0 (the default) keeps the classic single-queue
-  // engine.  Sharded runs are their own deterministic universe -- one
-  // RNG stream per node, one delivery event per message, envelope
-  // conformance audited at sample times instead of per delivery -- and
-  // within it every observable byte is invariant across shard counts
-  // (shards=1 runs inline and IS the single-threaded reference), but a
-  // sharded run is intentionally not byte-comparable to a shards == 0
-  // run.  Requires a delay model with floor > 0; batched_delivery is
-  // ignored (cross-shard staging already batches per barrier).
+  // In-cell parallelism: partition the nodes into this many shards of
+  // the sim::ShardedEngine (conservative lookahead on the delay floor).
+  // 0 (the default) is the classic run on the engine's one-queue mode.
+  // Sharded runs are their own deterministic universe -- one RNG stream
+  // per node, one delivery event per message, envelope conformance
+  // audited at sample times instead of per delivery -- and within it
+  // every observable byte is invariant across shard counts (shards=1
+  // runs inline and IS the single-threaded reference), but a sharded run
+  // is intentionally not byte-comparable to a shards == 0 run.  Requires
+  // a delay model with floor > 0; batched_delivery is ignored
+  // (cross-shard staging already batches per barrier).
   std::size_t shards = 0;
 };
 
@@ -175,9 +174,9 @@ class NetworkSimulation {
   NetworkSimulation& operator=(const NetworkSimulation&) = delete;
 
   void run_until(sim::Time t);
-  // Forwards to Engine::every / Engine::cancel_every: the returned
-  // handle detaches the sampler cleanly (probes that outlive their
-  // usefulness stop firing instead of sampling a dead observer).
+  // A global periodic (it may read any node's state): the handle detaches
+  // the sampler cleanly (probes that outlive their usefulness stop firing
+  // instead of sampling a dead observer).
   sim::PeriodicId schedule_periodic(sim::Time start, sim::Duration period,
                                     std::function<void(sim::Time)> fn);
   void cancel_periodic(sim::PeriodicId id);
@@ -204,24 +203,18 @@ class NetworkSimulation {
   // In sharded mode this is the last barrier time; shard-side callbacks
   // never call back into these accessors mid-window (the sampler and
   // topology hooks run at barriers, where the two notions coincide).
-  sim::Time now() const { return sharded_ ? sharded_->now() : engine_.now(); }
-  std::uint64_t events_executed() const {
-    return sharded_ ? sharded_->events_executed() : engine_.events_executed();
-  }
+  sim::Time now() const { return engine_->now(); }
+  std::uint64_t events_executed() const { return engine_->events_executed(); }
   // Events currently queued in the engine -- the "queue depth" a
   // per-interval observation stream wants.
-  std::size_t engine_pending() const {
-    return sharded_ ? sharded_->pending() : engine_.pending();
-  }
+  std::size_t engine_pending() const { return engine_->pending(); }
   // Scheduler-health counters (high-water pending, heap ops vs calendar
   // probes/rebuilds); describes the scheduler, not the trajectory.
-  sim::EngineStats engine_stats() const {
-    return sharded_ ? sharded_->stats() : engine_.stats();
-  }
+  sim::EngineStats engine_stats() const { return engine_->stats(); }
   // Audit hook: at() calls that asked for a time in the past.  A correct
   // simulation never does; tests and the harness assert this stays zero.
   std::uint64_t engine_clamped_count() const {
-    return sharded_ ? sharded_->clamped_count() : engine_.clamped_count();
+    return engine_->clamped_count();
   }
   const RunStats& stats() const;
   const SyncParams& params() const { return params_; }
@@ -263,16 +256,14 @@ class NetworkSimulation {
   void apply_event(const net::TopologyEvent& ev);
   void add_edge(const net::Edge& e, sim::Time t, bool initial);
   void remove_edge(const net::Edge& e, sim::Time t);
-  // Schedules fn at t on u's shard (or the classic engine).
-  void at_node(NodeId u, sim::Time t, std::function<void()> fn);
   void schedule_broadcast(NodeId u);
   void broadcast(NodeId u);
   // Sends one message over the half-edge `slot` of from's segment.
-  // Classic mode stages it (batched) or schedules it (per-receiver);
-  // callers must flush_outbox() before returning to the engine (a no-op
-  // in sharded mode, which never stages).  Sharded mode posts it from
-  // execution context `ctx` (the sender's shard, or global_ctx() for
-  // barrier-side discovery exchanges).  Messages carry the edge
+  // Classic batched mode stages it; callers must flush_outbox() before
+  // returning to the engine (a no-op otherwise).  Every other mode posts
+  // it from execution context `ctx` (the sender's shard, or global_ctx()
+  // for barrier-side discovery exchanges; at zero shards the post is a
+  // plain per-receiver schedule).  Messages carry the edge
   // incarnation, never a slot: segments may relocate before the
   // delivery, which resolves its slot afresh.
   void send(std::size_t ctx, NodeId from, std::uint32_t slot, double value,
@@ -308,14 +299,11 @@ class NetworkSimulation {
   // Execution context of u's events: its shard, or the one classic slot;
   // and the time there.
   std::size_t ctx_of(NodeId u) const { return sharded_ ? shard_of_[u] : 0; }
-  sim::Time node_now(NodeId u) const {
-    return sharded_ ? sharded_->shard_now(shard_of_[u]) : engine_.now();
-  }
+  sim::Time node_now(NodeId u) const { return engine_->shard_now(ctx_of(u)); }
   // Emits a trace record from context `ctx` on behalf of `node`: straight
   // to the recorder, or (sharded) into ctx's canonical-order buffer.
   void trace(std::size_t ctx, NodeId node, const obs::TraceEvent& ev);
   void flush_sharded_trace();
-  void compose_run_stats() const;
 
   SyncParams params_;
   BFunction bfunc_;
@@ -333,13 +321,14 @@ class NetworkSimulation {
   // repeated incremental runs cost one pass total, not one per call.
   net::SnapshotUnionSweep audit_sweep_;
 
-  sim::Engine engine_;
-  // Sharded mode (options_.shards > 0): sharded_ replaces engine_
-  // (which then stays empty), nodes map contiguously onto shards, and
-  // every node draws delays from its own seeded RNG stream so sends on
-  // different shards never contend for -- or K-variantly reorder draws
-  // from -- a shared generator.
-  std::unique_ptr<sim::ShardedEngine> sharded_;
+  // The one scheduler: contexts_.size() - 1 shards, so zero -- the
+  // one-queue engine -- in a classic run.
+  std::unique_ptr<sim::ShardedEngine> engine_;
+  // Sharded physics (options_.shards > 0): nodes map contiguously onto
+  // shards, and every node draws delays from its own seeded RNG stream
+  // so sends on different shards never contend for -- or K-variantly
+  // reorder draws from -- a shared generator.
+  bool sharded_ = false;
   std::vector<std::uint32_t> shard_of_;
   std::vector<util::Rng> node_rngs_;
   // Per-node running index of posted messages: the K-invariant

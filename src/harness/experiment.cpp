@@ -133,6 +133,19 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
         "run_experiment: n = " + std::to_string(p.n) +
         " exceeds the 32-bit node-id limit 4294967295");
   }
+  // A NaN slips past every ordered comparison below (and an Inf past
+  // most), so non-finite inputs are named here before they can hang a
+  // run or surface as an anonymous engine or json error.
+  const std::pair<const char*, double> finite[] = {
+      {"rho", p.rho}, {"T", p.T}, {"D", p.D}, {"B0", p.B0},
+      {"horizon", cfg.horizon}, {"sample_dt", cfg.sample_dt}};
+  for (const auto& [key, value] : finite) {
+    if (!std::isfinite(value)) {
+      throw std::invalid_argument(std::string("run_experiment: ") + key +
+                                  " must be finite, got " +
+                                  std::to_string(value));
+    }
+  }
   if (cfg.horizon <= 0.0 || cfg.sample_dt <= 0.0) {
     throw std::invalid_argument("run_experiment: bad horizon/sample_dt");
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -44,61 +43,41 @@ PeriodicId Engine::every(Time first, Duration period,
                                 std::to_string(first));
   }
   if (!std::isfinite(period) || period <= 0.0) {
-    // A chain with period <= 0 re-fires at a non-advancing timestamp:
-    // run_until would pop it forever without progressing.
+    // A period <= 0 re-fires at a non-advancing timestamp: run_until
+    // would pop it forever without progressing.
     throw std::invalid_argument("Engine::every: period must be finite and "
                                 "positive, got " +
                                 std::to_string(period));
   }
-  struct Chain {
-    Engine* engine;
-    Duration period;
-    std::function<void(Time)> fn;
-    std::function<void(Time)> fire;
-  };
-  auto chain = std::make_shared<Chain>(Chain{this, period, std::move(fn), {}});
-  // The engine owns the chain; scheduled events capture only a weak_ptr,
-  // so there is no shared_ptr cycle, destroying the engine frees every
-  // periodic callback, and cancel_every only has to drop the owning
-  // reference.  A firing whose chain is gone is inert: it un-counts
-  // itself from the inert ledger as it pops (the engine outlives its
-  // queues, so the raw `self` pointer is safe wherever the event runs).
-  const PeriodicId id = next_periodic_id_++;
-  periodic_chains_.emplace_back(id, chain);
-  std::weak_ptr<Chain> weak = chain;
-  Engine* const self = this;
-  chain->fire = [weak, self](Time t) {
-    auto c = weak.lock();
-    if (!c) return;
-    c->fn(t);
-    c->engine->at(t + c->period, [weak, self, next = t + c->period] {
-      if (auto c2 = weak.lock()) {
-        c2->fire(next);
-      } else {
-        --self->inert_pending_;
-      }
-    });
-  };
-  at(first, [weak, self, first] {
-    if (auto c = weak.lock()) {
-      c->fire(first);
-    } else {
-      --self->inert_pending_;
-    }
-  });
+  const PeriodicId id = periodics_.size();
+  periodics_.push_back(Periodic{period, std::move(fn)});
+  at(first, [this, id, first] { fire_periodic(id, first); });
   return id;
 }
 
-void Engine::cancel_every(PeriodicId id) {
-  for (auto it = periodic_chains_.begin(); it != periodic_chains_.end(); ++it) {
-    if (it->first == id) {
-      periodic_chains_.erase(it);
-      // An alive chain always has exactly one firing queued; it just
-      // became inert, so take it out of the pending accounting now.
-      ++inert_pending_;
-      return;
-    }
+void Engine::fire_periodic(PeriodicId id, Time t) {
+  const Duration period = periodics_[id].period;
+  if (period == 0.0) {
+    --inert_pending_;
+    return;
   }
+  // Run the callable out of the table: it may cancel itself (emptying
+  // its entry) or register periodics (growing the table) while it runs.
+  std::function<void(Time)> fn = std::move(periodics_[id].fn);
+  fn(t);
+  if (periodics_[id].period != 0.0) periodics_[id].fn = std::move(fn);
+  // Queued even if the callback just cancelled this entry (it then pops
+  // as inert), so the seq stream never depends on when a cancel happens.
+  at(t + period, [this, id, next = t + period] { fire_periodic(id, next); });
+}
+
+void Engine::cancel_every(PeriodicId id) {
+  if (id >= periodics_.size() || periodics_[id].period == 0.0) return;
+  periodics_[id] = Periodic{};
+  // A live entry always has exactly one firing queued (or, inside its own
+  // callback, about to be); it just became inert, so take it out of the
+  // pending accounting now.
+  ++inert_pending_;
 }
 
 bool Engine::next_time(Time* out) {
@@ -111,6 +90,9 @@ bool Engine::next_time(Time* out) {
 }
 
 void Engine::run_until(Time horizon) {
+  if (std::isnan(horizon)) {
+    throw std::invalid_argument("Engine::run_until: NaN horizon");
+  }
   if (policy_ == EnginePolicy::kHeap) {
     while (!heap_.empty() && heap_.front().t <= horizon) {
       std::pop_heap(heap_.begin(), heap_.end(), Later{});

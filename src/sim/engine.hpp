@@ -22,8 +22,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "sim/calendar_queue.hpp"
@@ -84,14 +82,14 @@ class Engine {
   // callback simply stops being serviced once run_until() is never
   // called past its next firing time.
   // Throws std::invalid_argument unless `first` is finite and `period` is
-  // finite and positive: a period <= 0 builds a chain that re-fires at
-  // the same timestamp forever, livelocking run_until().
+  // finite and positive: a period <= 0 re-fires at the same timestamp
+  // forever, livelocking run_until().
   PeriodicId every(Time first, Duration period, std::function<void(Time)> fn);
 
-  // Detaches the periodic callback created by every(): its callable is
-  // destroyed now and it never fires again.  The already-scheduled next
-  // firing stays in the queue as an inert event (events hold only weak
-  // references into the chain), so cancellation cannot perturb the
+  // Detaches the periodic callback created by every() in O(1): its table
+  // entry is emptied (the callable destroyed) and it never fires again.
+  // The already-scheduled next firing stays in the queue as an inert
+  // event (events carry only the id), so cancellation cannot perturb the
   // (t, seq) order of anything else.  Inert events are excluded from
   // pending() and the max_pending high-water mark -- they are queue
   // residue, not workload.  Unknown or already-cancelled ids are ignored.
@@ -99,7 +97,9 @@ class Engine {
 
   // Executes every pending event with timestamp <= horizon, including
   // events scheduled by callbacks during the run, in (time, seq) order.
-  // Advances now() to max(now, horizon).
+  // Advances now() to max(now, horizon).  A NaN horizon throws
+  // std::invalid_argument under both policies (every comparison with it
+  // is false: the calendar would drain forever, the heap run nothing).
   void run_until(Time horizon);
 
   // If any event is pending, stores the earliest pending timestamp in
@@ -115,7 +115,7 @@ class Engine {
     const std::size_t raw =
         policy_ == EnginePolicy::kHeap ? heap_.size() : calendar_.size();
     // inert_pending_ can exceed the queued residue only transiently,
-    // inside a periodic callback that cancels itself (the chain's next
+    // inside a periodic callback that cancels itself (the entry's next
     // firing is counted as inert before it is physically scheduled).
     return raw > inert_pending_ ? raw - inert_pending_ : 0;
   }
@@ -129,12 +129,8 @@ class Engine {
   EnginePolicy policy() const { return policy_; }
   // Scheduler-health counters (see EngineStats above).
   EngineStats stats() const {
-    EngineStats s;
-    s.max_pending = max_pending_;
-    s.heap_ops = heap_ops_;
-    s.calendar_resizes = calendar_.resizes();
-    s.calendar_bucket_scans = calendar_.scan_steps();
-    return s;
+    return EngineStats{max_pending_, heap_ops_, calendar_.resizes(),
+                       calendar_.scan_steps()};
   }
 
  private:
@@ -145,19 +141,26 @@ class Engine {
     }
   };
 
+  // One every() registration; period 0 marks an emptied (cancelled) entry.
+  struct Periodic {
+    Duration period = 0.0;
+    std::function<void(Time)> fn;
+  };
+
+  // Runs firing `t` of periodic `id` and queues the next one.
+  void fire_periodic(PeriodicId id, Time t);
+
   EnginePolicy policy_;
   std::vector<ScheduledEvent> heap_;  // kHeap: min-heap via std::push_heap
   CalendarQueue calendar_;            // kCalendar
-  // Owners of the self-rescheduling chains created by every(), keyed by
-  // the PeriodicId handed back to the caller; scheduled events only hold
-  // weak references into these, so erasing an entry (cancel_every) makes
-  // the chain's future firings no-ops.
-  std::vector<std::pair<PeriodicId, std::shared_ptr<void>>> periodic_chains_;
-  PeriodicId next_periodic_id_ = 0;
+  // The callbacks registered by every(), indexed by PeriodicId; queued
+  // firings carry only the id, so emptying an entry (cancel_every) makes
+  // its future firings no-ops.
+  std::vector<Periodic> periodics_;
   Time now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  // Queued events whose periodic chain has been cancelled: physically in
+  // Queued events whose periodic entry has been emptied: physically in
   // a queue (preserving everyone else's (t, seq) order) but guaranteed
   // no-ops.  Incremented by cancel_every, decremented when the inert
   // event pops; pending() subtracts it.

@@ -12,10 +12,7 @@ namespace gcs::sim {
 ShardedEngine::ShardedEngine(std::size_t shards, Duration window,
                              EnginePolicy policy)
     : window_(window), globals_(policy) {
-  if (shards == 0) {
-    throw std::invalid_argument("ShardedEngine: need at least one shard");
-  }
-  if (!std::isfinite(window) || window <= 0.0) {
+  if (shards > 0 && (!std::isfinite(window) || window <= 0.0)) {
     throw std::invalid_argument(
         "ShardedEngine: lookahead window must be positive and finite, got " +
         std::to_string(window));
@@ -41,11 +38,16 @@ ShardedEngine::~ShardedEngine() {
 }
 
 void ShardedEngine::at(std::size_t shard, Time t, std::function<void()> fn) {
-  engines_[shard]->at(t, std::move(fn));
+  Engine& engine = engines_.empty() ? globals_ : *engines_[shard];
+  engine.at(t, std::move(fn));
 }
 
 void ShardedEngine::post(std::size_t src_ctx, std::size_t dst_shard, Time t,
                          PostKey key, std::function<void()> fn) {
+  if (engines_.empty()) {
+    globals_.at(t, std::move(fn));
+    return;
+  }
   outboxes_[src_ctx][dst_shard].push_back(Post{t, key, std::move(fn)});
 }
 
@@ -161,13 +163,13 @@ void ShardedEngine::merge_staged(Time barrier) {
   }
 }
 
-void ShardedEngine::sample_pending() {
-  max_pending_ = std::max<std::uint64_t>(max_pending_, pending());
-}
-
 void ShardedEngine::run_until(Time horizon) {
   if (!std::isfinite(horizon)) {
     throw std::invalid_argument("ShardedEngine::run_until: non-finite horizon");
+  }
+  if (engines_.empty()) {
+    globals_.run_until(horizon);
+    return;
   }
   Time now = globals_.now();
   if (horizon < now) horizon = now;
@@ -183,7 +185,7 @@ void ShardedEngine::run_until(Time horizon) {
     merge_staged(b);
     globals_.run_until(b);
     ++windows_;
-    sample_pending();
+    max_pending_ = std::max<std::uint64_t>(max_pending_, pending());
     now = b;
     if (b >= horizon) break;
   }
@@ -192,7 +194,7 @@ void ShardedEngine::run_until(Time horizon) {
   // call) before control returns.
   run_shards_to(horizon);
   merge_staged(horizon);
-  sample_pending();
+  max_pending_ = std::max<std::uint64_t>(max_pending_, pending());
 }
 
 std::uint64_t ShardedEngine::events_executed() const {
@@ -222,21 +224,15 @@ std::uint64_t ShardedEngine::clamped_count() const {
   return total;
 }
 
-Time ShardedEngine::first_clamped_time() const {
+const Engine& ShardedEngine::first_clamper() const {
   for (const std::unique_ptr<Engine>& engine : engines_) {
-    if (engine->clamped_count() > 0) return engine->first_clamped_time();
+    if (engine->clamped_count() > 0) return *engine;
   }
-  return globals_.first_clamped_time();
-}
-
-std::uint64_t ShardedEngine::first_clamped_seq() const {
-  for (const std::unique_ptr<Engine>& engine : engines_) {
-    if (engine->clamped_count() > 0) return engine->first_clamped_seq();
-  }
-  return globals_.first_clamped_seq();
+  return globals_;
 }
 
 EngineStats ShardedEngine::stats() const {
+  if (engines_.empty()) return globals_.stats();
   EngineStats s;
   s.max_pending = max_pending_;
   s.shard_windows = windows_;

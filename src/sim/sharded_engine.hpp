@@ -46,6 +46,13 @@
 // byte-identical across shard counts, and shards=1 (which runs inline,
 // no worker threads) IS the single-threaded reference.
 //
+// Zero shards is the classic one-queue engine: everything -- at(),
+// post(), globals -- goes straight into the globals engine in call
+// order, with no staging, no windows and no lookahead contract, and
+// run_until/stats forward to it.  That is the same (t, seq) schedule a
+// bare sim::Engine would run, so callers drive one type at every shard
+// count.
+//
 // The lookahead contract: a post staged during a window must satisfy
 // t >= send_t + window >= the merge barrier.  merge enforces it with a
 // std::logic_error so a delay model lying about its floor fails loudly
@@ -87,19 +94,18 @@ struct PostKey {
 class ShardedEngine {
  public:
   // `window` is the conservative lookahead (the delay floor); must be
-  // positive and finite.  `shards` >= 1; shards == 1 runs everything
-  // inline on the calling thread.
+  // positive and finite when shards >= 1.  shards == 1 runs everything
+  // inline on the calling thread; shards == 0 is the one-queue engine
+  // (see the file comment) and ignores `window`.
   ShardedEngine(std::size_t shards, Duration window,
                 EnginePolicy policy = EnginePolicy::kCalendar);
   ~ShardedEngine();
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
 
-  std::size_t shards() const { return engines_.size(); }
-  Duration window() const { return window_; }
   // The execution-context id of the globals engine, for post()'s
-  // src_ctx: contexts 0..shards()-1 are the shards, shards() is the
-  // coordinator running globals.
+  // src_ctx: contexts 0..K-1 are the K shards, K is the coordinator
+  // running globals (0, the only context, at zero shards).
   std::size_t global_ctx() const { return engines_.size(); }
 
   // Schedules a shard-local event.  Callable from the owning shard's
@@ -131,7 +137,9 @@ class ShardedEngine {
   // returns).  Shard clocks sit just below the next barrier mid-window;
   // shard callbacks must use shard_now() of their OWN shard.
   Time now() const { return globals_.now(); }
-  Time shard_now(std::size_t shard) const { return engines_[shard]->now(); }
+  Time shard_now(std::size_t shard) const {
+    return engines_.empty() ? globals_.now() : engines_[shard]->now();
+  }
 
   std::uint64_t events_executed() const;
   std::size_t pending() const;  // queued everywhere + staged in outboxes
@@ -139,14 +147,19 @@ class ShardedEngine {
   // First clamp across contexts (shards in index order, then globals);
   // meaningful only when clamped_count() > 0, and the seq is local to
   // the context that clamped -- diagnostic, like Engine's.
-  Time first_clamped_time() const;
-  std::uint64_t first_clamped_seq() const;
+  Time first_clamped_time() const {
+    return first_clamper().first_clamped_time();
+  }
+  std::uint64_t first_clamped_seq() const {
+    return first_clamper().first_clamped_seq();
+  }
 
   // max_pending is sampled at barriers (sum over queues + outboxes);
   // the per-policy scheduler counters are reported as zero because
   // their values depend on the shard count, and result documents must
   // not (see EngineStats).  shard_windows / shard_staged_events are the
-  // sharded scheduler's own K-invariant health counters.
+  // sharded scheduler's own K-invariant health counters.  At zero shards
+  // this is the one queue's own stats, policy counters included.
   EngineStats stats() const;
 
  private:
@@ -156,9 +169,9 @@ class ShardedEngine {
     std::function<void()> fn;
   };
 
+  const Engine& first_clamper() const;
   void run_shards_to(Time target);
   void merge_staged(Time barrier);
-  void sample_pending();
   void worker_loop(std::size_t shard);
 
   Duration window_;

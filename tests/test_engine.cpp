@@ -290,6 +290,64 @@ TEST_P(EngineTest, CancelEveryRemovesInertFiringFromPendingAccounting) {
   EXPECT_EQ(engine.stats().max_pending, 2u);
 }
 
+TEST_P(EngineTest, RunUntilRejectsANaNHorizon) {
+  // Every comparison with NaN is false: the calendar would drain (and
+  // re-drain) its self-rescheduling events forever, the heap run nothing.
+  Engine engine = make_engine();
+  int fired = 0;
+  engine.every(0.5, 0.5, [&](gcs::sim::Time) { ++fired; });
+  EXPECT_THROW(engine.run_until(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(engine.now(), 0.0);
+  engine.run_until(1.0);
+  EXPECT_EQ(fired, 2);
+}
+
+TEST_P(EngineTest, PeriodicMayRegisterAndCancelPeriodicsWhileFiring) {
+  // The periodic table grows (and entries empty) while a callback runs,
+  // so the engine must not run the stored callable in place.  The
+  // callbacks capture one reference, small enough to live inside
+  // std::function's own buffer: a table reallocation then moves -- and
+  // a self-cancel overwrites -- the captures of the running call.
+  struct State {
+    Engine* engine = nullptr;
+    std::vector<std::pair<char, gcs::sim::Time>> log;
+    gcs::sim::PeriodicId a = 0;
+    gcs::sim::PeriodicId b = 0;
+  };
+  Engine engine = make_engine();
+  State s;
+  s.engine = &engine;
+  s.a = engine.every(1.0, 1.0, [&s](gcs::sim::Time t) {
+    s.log.emplace_back('a', t);
+    if (t == 1.0) {
+      // The table holds a and b at capacity 2: this registration grows it.
+      s.engine->every(1.5, 1.0, [&s](gcs::sim::Time tc) {
+        s.log.emplace_back('c', tc);
+      });
+      s.engine->cancel_every(s.b);  // b's t=1 firing is still queued
+    }
+    if (t == 3.0) {
+      s.engine->cancel_every(s.a);
+      s.log.emplace_back('x', t);  // captures still usable after the cancel
+    }
+  });
+  s.b = engine.every(1.0, 1.0,
+                     [&s](gcs::sim::Time t) { s.log.emplace_back('b', t); });
+  engine.run_until(4.0);
+  const std::vector<std::pair<char, gcs::sim::Time>> want = {
+      {'a', 1.0}, {'c', 1.5}, {'a', 2.0}, {'c', 2.5},
+      {'a', 3.0}, {'x', 3.0}, {'c', 3.5}};
+  EXPECT_EQ(s.log, want);
+  // Only c is live: its t=4.5 firing.  a's t=4 and b's t=1 leftovers
+  // popped as inert.
+  EXPECT_EQ(engine.pending(), 1u);
+  engine.run_until(5.0);
+  EXPECT_EQ(s.log.back(), (std::pair<char, gcs::sim::Time>{'c', 4.5}));
+  EXPECT_EQ(engine.pending(), 1u);
+}
+
 TEST_P(EngineTest, SelfCancellingPeriodicKeepsAccountingConsistent) {
   // Cancelling from inside the chain's own callback hits the transient
   // window where the inert count is bumped before the refire is queued;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "net/scenario.hpp"
@@ -121,6 +122,30 @@ TEST(RunExperiment, RejectsBadConfigs) {
     cfg.params.n = n;
     expect_named(cfg, "n = " + std::to_string(n));
     expect_named(cfg, "4294967295");
+  }
+  // Non-finite model constants and run lengths: a NaN horizon or window
+  // used to hang the run, the rest to fail without naming the key (or,
+  // for B0, to abort the whole campaign when the config was serialized).
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::nan(""), inf}) {
+    cfg = small_config();
+    cfg.params.rho = bad;
+    expect_named(cfg, "rho must be finite");
+    cfg = small_config();
+    cfg.params.T = bad;
+    expect_named(cfg, "T must be finite");
+    cfg = small_config();
+    cfg.params.D = bad;
+    expect_named(cfg, "D must be finite");
+    cfg = small_config();
+    cfg.params.B0 = bad;
+    expect_named(cfg, "B0 must be finite");
+    cfg = small_config();
+    cfg.horizon = bad;
+    expect_named(cfg, "horizon must be finite");
+    cfg = small_config();
+    cfg.sample_dt = bad;
+    expect_named(cfg, "sample_dt must be finite");
   }
 }
 

@@ -289,6 +289,32 @@ TEST(Runner, ErroredCellsAreDisjointFromFailedAndLogTimingOnly) {
   EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 2);  // header + 1 row
 }
 
+TEST(Runner, CheckFailsACellThatNeverSampled) {
+  // A sharded run audits the envelope only at samples, so a cell whose
+  // sample_dt exceeds its horizon would otherwise pass --check having
+  // audited nothing.
+  const fs::path dir = fresh_dir("no-samples");
+  const cli::Campaign campaign = cli::build_campaign(
+      nullptr, {{"name", "nosample"}, {"n", "8"}, {"horizon", "5"},
+                {"sample_dt", "100"}, {"shards", "2"},
+                {"delay", "constant:0.5"}});
+  cli::RunnerOptions options;
+  options.quiet = true;
+  options.check = true;
+  options.out_dir = dir.string();
+  std::ostringstream log;
+  cli::CampaignOutcome outcome;
+  EXPECT_EQ(cli::run_campaign(campaign, options, log, &outcome), 1);
+  EXPECT_EQ(outcome.failed_cells, 1u);
+  EXPECT_EQ(outcome.errored_cells, 0u);
+  ASSERT_EQ(outcome.cells.size(), 1u);
+  EXPECT_EQ(outcome.cells[0].result.samples, 0u);
+  ASSERT_EQ(outcome.cells[0].failures.size(), 1u);
+  const std::string& failure = outcome.cells[0].failures[0];
+  EXPECT_NE(failure.find("sample_dt"), std::string::npos) << failure;
+  EXPECT_NE(failure.find("horizon"), std::string::npos) << failure;
+}
+
 TEST(Runner, HandBuiltLabelsAreSanitizedAndCsvQuoted) {
   const fs::path dir = fresh_dir("weird-labels");
   // run_campaign accepts hand-built Campaigns whose labels and name never

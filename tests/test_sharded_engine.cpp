@@ -2,7 +2,8 @@
 // byte-identical across shard counts, under both queue policies, with
 // shards == 1 -- the inline, threadless configuration -- as the
 // reference), the globals-before-shards ordering rule, the lookahead
-// contract's loud failure, and clamp/validation passthrough.
+// contract's loud failure, clamp/validation passthrough, and the
+// zero-shard one-queue mode.
 #include "sim/sharded_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -154,7 +155,9 @@ TEST(ShardedEngine, ClampDiagnosticsPassThrough) {
 }
 
 TEST(ShardedEngine, ValidatesConstructionAndHorizon) {
-  EXPECT_THROW(ShardedEngine(0, 1.0), std::invalid_argument);
+  // Zero shards is the one-queue engine: it has no window to validate.
+  EXPECT_NO_THROW(ShardedEngine(0, 0.0));
+  EXPECT_THROW(ShardedEngine(1, 0.0), std::invalid_argument);
   EXPECT_THROW(ShardedEngine(2, 0.0), std::invalid_argument);
   EXPECT_THROW(ShardedEngine(2, -1.0), std::invalid_argument);
   EXPECT_THROW(ShardedEngine(2, std::numeric_limits<double>::quiet_NaN()),
@@ -164,6 +167,42 @@ TEST(ShardedEngine, ValidatesConstructionAndHorizon) {
   ShardedEngine eng(2, 1.0);
   EXPECT_THROW(eng.run_until(std::numeric_limits<double>::quiet_NaN()),
                std::invalid_argument);
+}
+
+TEST(ShardedEngine, ZeroShardsIsOneQueue) {
+  for (const EnginePolicy policy :
+       {EnginePolicy::kCalendar, EnginePolicy::kHeap}) {
+    const bool heap = policy == EnginePolicy::kHeap;
+    ShardedEngine eng(0, /*window=*/0.0, policy);
+    EXPECT_EQ(eng.global_ctx(), 0u);
+    // One queue in call order: no globals-first rule, no staging.
+    std::vector<std::string> order;
+    eng.at(0, 1.0, [&] { order.push_back("at"); });
+    eng.post(0, 0, 1.0, PostKey{0.0, 0, 0}, [&] { order.push_back("post"); });
+    eng.at_global(1.0, [&] { order.push_back("global"); });
+    // No window either: a post may land arbitrarily soon after its send.
+    eng.at(0, 2.0, [&] {
+      EXPECT_DOUBLE_EQ(eng.shard_now(0), 2.0);
+      eng.post(0, 0, eng.shard_now(0) + 1e-3, PostKey{2.0, 0, 1},
+               [&] { order.push_back("fast"); });
+    });
+    EXPECT_THROW(eng.run_until(std::numeric_limits<double>::quiet_NaN()),
+                 std::invalid_argument);
+    eng.run_until(3.0);
+    EXPECT_EQ(order,
+              (std::vector<std::string>{"at", "post", "global", "fast"}));
+    EXPECT_DOUBLE_EQ(eng.now(), 3.0);
+    EXPECT_DOUBLE_EQ(eng.shard_now(0), 3.0);
+    EXPECT_EQ(eng.events_executed(), 5u);
+    EXPECT_EQ(eng.pending(), 0u);
+    // stats() is the one queue's own, policy counters included.
+    const gcs::sim::EngineStats stats = eng.stats();
+    EXPECT_EQ(stats.max_pending, 4u);
+    EXPECT_EQ(stats.shard_windows, 0u);
+    EXPECT_EQ(stats.shard_staged_events, 0u);
+    EXPECT_EQ(stats.heap_ops > 0, heap);
+    EXPECT_EQ(stats.calendar_bucket_scans > 0, !heap);
+  }
 }
 
 TEST(ShardedEngine, ShardCallbackExceptionsRethrowOnTheCaller) {
