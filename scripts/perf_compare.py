@@ -3,27 +3,19 @@
 
 Usage:
     perf_compare.py BENCH_baseline.json bench_current.json
-        [--tolerance 2.0] [--min-pending 10000]
-        [--max-telemetry-overhead 0.05]
+        [--max-telemetry-overhead 0.10] [--min-sharded-speedup 1.5]
+        [--min-columns-speedup 0.9]
 
-Both files are ``bench_engine_perf --benchmark_format=json`` output.  Two
-gates run, both on ratios measured within one process so they are
+Both files are ``bench_engine_perf --benchmark_format=json`` output.  Three
+gates run, all on ratios measured within one process so they are
 machine-portable (CI runners and dev laptops differ wildly in clock
 speed, but the two sides of each ratio run seconds apart on the same
 machine; turbo/co-tenancy noise moves both sides together and largely
-cancels):
+cancels).  There is no queue-speedup gate: the event engine has one
+queue, so the two arms of ``BM_EventQueue_Hold`` time the same heap and
+their ratio measures nothing.
 
-1. Queue speedup.  For every ``BM_EventQueue_Hold/<pending>/<policy>/
-   <slotted>`` shape (policy 0 = heap, 1 = calendar) with pending >=
-   --min-pending present in BOTH files,
-
-       ratio = heap cpu_time / calendar cpu_time
-
-   i.e. "how many times faster is the calendar queue".  The current run
-   must keep at least 1/--tolerance of the baseline ratio; with the
-   default 2.0 a >2x regression of the speedup fails.
-
-2. Telemetry overhead.  ``BM_TelemetryOverhead`` runs one checked
+1. Telemetry overhead.  ``BM_TelemetryOverhead`` runs one checked
    experiment without and with a full TelemetryRecorder attached, back to
    back in each iteration, and reports the quotient of the two arms'
    minimum wall times as the ``telemetry_overhead_ratio`` counter
@@ -38,7 +30,7 @@ cancels):
    (~2.7% -> ~6.5%), and the ceiling was re-cut from 5% to 10% to keep
    the same proportional headroom.
 
-3. Sharded speedup.  ``BM_ShardedHold`` runs a 10k-node cell shards=1
+2. Sharded speedup.  ``BM_ShardedHold`` runs a 10k-node cell shards=1
    and shards=4 back to back per iteration and reports the median
    single/sharded wall-time quotient as ``sharded_speedup_ratio`` plus
    the host's ``hw_threads``.  The current run's ratio must be at least
@@ -49,7 +41,7 @@ cancels):
    informational.  The shapes must exist in both files either way, so a
    renamed or dropped benchmark still fails loudly.
 
-4. Columns-store speedup.  ``BM_MillionNodeChurn`` runs the scaled-down
+3. Columns-store speedup.  ``BM_MillionNodeChurn`` runs the scaled-down
    million-node churn cell with the per-node adapter store and the
    struct-of-arrays columns store back to back per iteration and reports
    the median adapter/columns wall-time quotient as the
@@ -63,9 +55,7 @@ If a benchmark was run with repetitions the median aggregate is preferred
 over the raw iterations.
 
 Exit codes: 0 pass, 1 regression, 2 unusable input.  Unusable means any
-shape or counter a gate depends on is absent: an empty OR partial Hold
-shape overlap (a shape present on only one side is a renamed/dropped
-benchmark, not a smaller gate), a missing telemetry/sharded/columns
+counter a gate depends on is absent: a missing telemetry/sharded/columns
 counter, or a current run without ``hw_threads`` (which would otherwise
 silently downgrade the sharded gate to informational).  A renamed
 benchmark must fail loudly, never skip the gate.
@@ -75,7 +65,6 @@ import argparse
 import json
 import sys
 
-HOLD_PREFIX = "BM_EventQueue_Hold/"
 TELEMETRY_NAME = "BM_TelemetryOverhead"
 TELEMETRY_COUNTER = "telemetry_overhead_ratio"
 SHARDED_NAME = "BM_ShardedHold"
@@ -89,45 +78,6 @@ def load_benchmarks(path):
     """The parsed benchmark entry list of one --benchmark_format=json file."""
     with open(path) as f:
         return json.load(f).get("benchmarks", [])
-
-
-def hold_times(benchmarks):
-    """name -> cpu_time for Hold benchmarks, preferring median aggregates."""
-    times = {}
-    have_aggregate = set()
-    for bench in benchmarks:
-        name = bench.get("name", "")
-        base = bench.get("run_name", name)
-        if not base.startswith(HOLD_PREFIX):
-            continue
-        run_type = bench.get("run_type", "iteration")
-        if run_type == "aggregate":
-            if bench.get("aggregate_name") != "median":
-                continue
-            times[base] = bench["cpu_time"]
-            have_aggregate.add(base)
-        elif base not in have_aggregate:
-            times[base] = bench["cpu_time"]
-    return times
-
-
-def hold_ratios(times, min_pending):
-    """(pending, slotted) -> heap_time / calendar_time."""
-    ratios = {}
-    for name, heap_time in times.items():
-        fields = name[len(HOLD_PREFIX):].split("/")
-        if len(fields) != 3 or fields[1] != "0":
-            continue
-        pending, slotted = int(fields[0]), fields[2]
-        if pending < min_pending:
-            continue
-        calendar = times.get(f"{HOLD_PREFIX}{pending}/1/{slotted}")
-        if calendar is None or calendar <= 0:
-            continue
-        ratios[(pending, "slotted" if slotted == "1" else "continuous")] = (
-            heap_time / calendar
-        )
-    return ratios
 
 
 def telemetry_ratio(benchmarks):
@@ -205,10 +155,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline")
     parser.add_argument("current")
-    parser.add_argument("--tolerance", type=float, default=2.0,
-                        help="max allowed shrink factor of the ratio (default 2.0)")
-    parser.add_argument("--min-pending", type=int, default=10000,
-                        help="ignore Hold shapes below this population (default 10000)")
     parser.add_argument("--max-telemetry-overhead", type=float, default=0.10,
                         help="max fractional cpu-time cost of an attached "
                              "TelemetryRecorder (default 0.10 = 10%%)")
@@ -225,45 +171,8 @@ def main():
     baseline_benchmarks = load_benchmarks(args.baseline)
     current_benchmarks = load_benchmarks(args.current)
 
-    baseline = hold_ratios(hold_times(baseline_benchmarks), args.min_pending)
-    current = hold_ratios(hold_times(current_benchmarks), args.min_pending)
-    shared = sorted(set(baseline) & set(current))
-    if not shared:
-        print("perf_compare: no comparable BM_EventQueue_Hold shapes with "
-              f"pending >= {args.min_pending} in both files -- "
-              "was the benchmark renamed or the filter wrong?", file=sys.stderr)
-        return 2
-    # A partial overlap is just as unusable as an empty one: a shape that
-    # exists on only one side means a benchmark was renamed, dropped, or
-    # filtered out, and comparing the survivors would silently shrink the
-    # gate's coverage.  Fail loudly and name the strays.
-    only_baseline = sorted(set(baseline) - set(current))
-    only_current = sorted(set(current) - set(baseline))
-    if only_baseline or only_current:
-        def fmt(keys):
-            return ", ".join(f"pending={k[0]}/{k[1]}" for k in keys)
-        if only_baseline:
-            print("perf_compare: Hold shape(s) in baseline but missing from "
-                  f"current: {fmt(only_baseline)}", file=sys.stderr)
-        if only_current:
-            print("perf_compare: Hold shape(s) in current but missing from "
-                  f"baseline: {fmt(only_current)}", file=sys.stderr)
-        print("perf_compare: Hold shape sets must match exactly -- "
-              "regenerate whichever file is stale", file=sys.stderr)
-        return 2
-
     failures = 0
-    print(f"{'shape':<24} {'baseline':>9} {'current':>9} {'floor':>9}  verdict")
-    for key in shared:
-        base_ratio = baseline[key]
-        cur_ratio = current[key]
-        floor = base_ratio / args.tolerance
-        ok = cur_ratio >= floor
-        failures += 0 if ok else 1
-        shape = f"pending={key[0]}/{key[1]}"
-        print(f"{shape:<24} {base_ratio:>8.2f}x {cur_ratio:>8.2f}x "
-              f"{floor:>8.2f}x  {'ok' if ok else 'REGRESSION'}")
-
+    print(f"{'gate':<24} {'baseline':>9} {'current':>9} {'bound':>9}  verdict")
     base_telemetry = telemetry_ratio(baseline_benchmarks)
     cur_telemetry = telemetry_ratio(current_benchmarks)
     if base_telemetry is None or cur_telemetry is None:
@@ -320,14 +229,13 @@ def main():
 
     if failures:
         print(f"\nperf_compare: {failures} gate(s) failed "
-              f"(speedup floor {args.tolerance}x, telemetry ceiling "
-              f"{ceiling:.3f}x, sharded floor {args.min_sharded_speedup}x, "
-              f"columns floor {args.min_columns_speedup}x)",
+              f"(telemetry ceiling {ceiling:.3f}x, sharded floor "
+              f"{args.min_sharded_speedup}x, columns floor "
+              f"{args.min_columns_speedup}x)",
               file=sys.stderr)
         return 1
-    print(f"\nperf_compare: all {len(shared)} Hold shape(s), the "
-          "telemetry-overhead gate, the sharded-speedup gate, and the "
-          "columns-speedup gate within tolerance")
+    print("\nperf_compare: the telemetry-overhead gate, the sharded-speedup "
+          "gate, and the columns-speedup gate within tolerance")
     return 0
 
 

@@ -478,6 +478,9 @@ Campaign build_campaign(const json::Value* doc,
     std::string number = std::to_string(cell_no);
     number.insert(0, width - std::min(width, number.size()), '0');
     cell.label = number + suffix;
+    // Named here, before --list echoes the config as json (which cannot
+    // hold a NaN or Inf) or a runner starts the cell.
+    harness::require_finite_inputs(cell.config, "campaign: cell " + cell.label);
     cell.config.name = campaign.name + "/" + cell.label;
     campaign.cells.push_back(std::move(cell));
 

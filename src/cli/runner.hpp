@@ -16,9 +16,8 @@
 //     summary.json         campaign name, cell/failure counts, worst skews
 //
 // Series and trace bytes are trajectory-derived only (no timing, no
-// engine-policy-specific counters), so they are byte-identical across
-// --jobs values AND across engine policies; tests/
-// run_telemetry_determinism.cmake enforces both.
+// scheduler counters), so they are byte-identical across --jobs values;
+// tests/run_telemetry_determinism.cmake enforces it.
 //
 // Cells are independent (each gets its own engine, clocks, and RNG
 // streams inside run_experiment), so with `jobs > 1` they execute on a

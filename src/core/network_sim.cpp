@@ -167,8 +167,8 @@ NetworkSimulation::NetworkSimulation(const SyncParams& params,
   // pipeline configured: queueing only adds delay on top of the
   // propagation draw, so total >= prop >= floor and the barrier-merge
   // contract holds under any load (see the class comment).
-  engine_ = std::make_unique<sim::ShardedEngine>(
-      contexts_.size() - 1, link_.prop.floor, options_.engine_policy);
+  engine_ = std::make_unique<sim::ShardedEngine>(contexts_.size() - 1,
+                                                 link_.prop.floor);
 
   for (const net::Edge& e : graph.initial_edges()) add_edge(e, 0.0, true);
   // Every topology event is scheduled up front as a global (sharded: run

@@ -58,7 +58,7 @@ struct SimOptions {
   bool check_conformance = true;
   std::uint64_t seed = 42;            // drives delay sampling
   double conformance_slack = 1e-6;    // float headroom on envelope checks
-  // Event-engine scheduler; kHeap is the A/B validation baseline.
+  // Accepted for source compatibility and ignored: there is one queue.
   sim::EnginePolicy engine_policy = sim::EnginePolicy::kCalendar;
   // Coalesce messages that a single broadcast (or edge-up exchange)
   // schedules for the same delivery instant into one engine event that
@@ -208,8 +208,8 @@ class NetworkSimulation {
   // Events currently queued in the engine -- the "queue depth" a
   // per-interval observation stream wants.
   std::size_t engine_pending() const { return engine_->pending(); }
-  // Scheduler-health counters (high-water pending, heap ops vs calendar
-  // probes/rebuilds); describes the scheduler, not the trajectory.
+  // Scheduler-health counters (high-water pending, heap ops); describes
+  // the scheduler, not the trajectory.
   sim::EngineStats engine_stats() const { return engine_->stats(); }
   // Audit hook: at() calls that asked for a time in the past.  A correct
   // simulation never does; tests and the harness assert this stays zero.

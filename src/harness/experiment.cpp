@@ -107,9 +107,8 @@ net::LinkModel build_link(const ExperimentConfig& cfg) {
   }
 }
 
-sim::EnginePolicy parse_engine(const std::string& engine) {
-  if (engine == "calendar") return sim::EnginePolicy::kCalendar;
-  if (engine == "heap") return sim::EnginePolicy::kHeap;
+void check_engine(const std::string& engine) {
+  if (engine == "calendar" || engine == "heap") return;
   throw std::invalid_argument("run_experiment: unknown engine '" + engine +
                               "'");
 }
@@ -123,6 +122,21 @@ bool parse_delivery(const std::string& delivery) {
 
 }  // namespace
 
+void require_finite_inputs(const ExperimentConfig& cfg,
+                           const std::string& where) {
+  const core::SyncParams& p = cfg.params;
+  const std::pair<const char*, double> finite[] = {
+      {"rho", p.rho}, {"T", p.T}, {"D", p.D}, {"B0", p.B0},
+      {"horizon", cfg.horizon}, {"sample_dt", cfg.sample_dt}};
+  for (const auto& [key, value] : finite) {
+    if (!std::isfinite(value)) {
+      throw std::invalid_argument(where + ": " + key +
+                                  " must be finite, got " +
+                                  std::to_string(value));
+    }
+  }
+}
+
 ExperimentResult run_experiment(const ExperimentConfig& cfg,
                                 obs::Recorder* recorder) {
   const core::SyncParams& p = cfg.params;
@@ -133,19 +147,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
         "run_experiment: n = " + std::to_string(p.n) +
         " exceeds the 32-bit node-id limit 4294967295");
   }
-  // A NaN slips past every ordered comparison below (and an Inf past
-  // most), so non-finite inputs are named here before they can hang a
-  // run or surface as an anonymous engine or json error.
-  const std::pair<const char*, double> finite[] = {
-      {"rho", p.rho}, {"T", p.T}, {"D", p.D}, {"B0", p.B0},
-      {"horizon", cfg.horizon}, {"sample_dt", cfg.sample_dt}};
-  for (const auto& [key, value] : finite) {
-    if (!std::isfinite(value)) {
-      throw std::invalid_argument(std::string("run_experiment: ") + key +
-                                  " must be finite, got " +
-                                  std::to_string(value));
-    }
-  }
+  require_finite_inputs(cfg, "run_experiment");
   if (cfg.horizon <= 0.0 || cfg.sample_dt <= 0.0) {
     throw std::invalid_argument("run_experiment: bad horizon/sample_dt");
   }
@@ -158,7 +160,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
 
   core::SimOptions options = cfg.options;
   options.seed = cfg.seed;
-  options.engine_policy = parse_engine(cfg.engine);
+  check_engine(cfg.engine);
   options.batched_delivery = parse_delivery(cfg.delivery);
   options.recorder = recorder;
   options.shards = static_cast<std::size_t>(cfg.shards);

@@ -45,11 +45,9 @@ struct ExperimentConfig {
   // lo > 0.
   std::string delay = "uniform";
 
-  // Event-engine scheduler: "calendar" (calendar queue, the scale path)
-  // or "heap" (binary-heap baseline).  Both produce bit-identical
-  // trajectories; heap exists for A/B validation.  Like `seed`, this
-  // overrides options.engine_policy -- set `engine`, not the SimOptions
-  // field, to vary a harness run.
+  // Event-engine scheduler: "calendar" or "heap".  Kept for config
+  // compatibility; both select the one binary-heap queue, and any other
+  // value is rejected.
   std::string engine = "calendar";
   // Message delivery: "batched" (same-instant messages of one broadcast
   // share an engine event) or "per-receiver" (one event per message).
@@ -87,11 +85,11 @@ struct ExperimentConfig {
   std::string variant = "dcsa";
 
   // Samples fire at sample_dt, 2*sample_dt, ...; the engine executes
-  // events with t <= horizon under BOTH scheduler policies, so a sample
-  // landing exactly on the horizon fires and a run with
-  // horizon == k*sample_dt (exact in binary floating point) reports
-  // exactly k samples.  test_experiment.cpp (SampleAtHorizonBoundary...)
-  // pins this down so `samples` stays stable across engine refactors.
+  // events with t <= horizon, so a sample landing exactly on the horizon
+  // fires and a run with horizon == k*sample_dt (exact in binary
+  // floating point) reports exactly k samples.  test_experiment.cpp
+  // (SampleAtHorizonBoundary...) pins this down so `samples` stays
+  // stable across engine refactors.
   double horizon = 100.0;
   double sample_dt = 1.0;
   // Master seed for the run: drives drift walks AND the simulator's
@@ -120,8 +118,8 @@ struct ExperimentResult {
   std::uint64_t clamped_events = 0;
   core::RunStats run_stats;  // includes delivery_events (batching audit)
   // Scheduler-health counters from the engine (high-water pending, heap
-  // ops vs calendar probes/rebuilds).  These describe the scheduler, not
-  // the trajectory, so they differ between engine policies while every
+  // ops, shard windows).  These describe the scheduler, not the
+  // trajectory: heap_ops differs between delivery modes while every
   // other field above stays bit-identical.
   sim::EngineStats engine_stats;
   // Whole-run digest of the per-sample_dt observation series (mean/peak
@@ -130,6 +128,15 @@ struct ExperimentResult {
   // bytes do not depend on whether --series was requested.
   obs::SeriesSummary series;
 };
+
+// Throws std::invalid_argument naming the first of rho, T, D, B0,
+// horizon and sample_dt that is not finite, as "<where>: <key> must be
+// finite, got <value>".  A NaN slips past every ordered comparison (and
+// an Inf past most), so run_experiment and campaign expansion both call
+// this before a non-finite input can hang a run or surface as an
+// anonymous engine or json error.
+void require_finite_inputs(const ExperimentConfig& config,
+                           const std::string& where);
 
 // Runs the experiment.  `recorder`, when non-null, passively observes
 // the run: it receives one obs::SeriesSample per sample_dt tick and

@@ -8,7 +8,7 @@
 // Numbers go through util::json's shortest-round-trip formatter, so two
 // trajectories that are bit-identical produce byte-identical files --
 // the property tests/run_telemetry_determinism.cmake gates across
-// --jobs and engine policies.
+// --jobs values.
 //
 // The trace is bounded by geometric decimation, not reservoir sampling:
 // when the buffer would exceed its capacity the keep-stride doubles and

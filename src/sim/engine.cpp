@@ -8,11 +8,9 @@
 
 namespace gcs::sim {
 
-Engine::Engine(EnginePolicy policy) : policy_(policy) {}
-
 void Engine::at(Time t, std::function<void()> fn) {
-  // Reject before any queue or clamp math runs, so a bad timestamp has
-  // the same (absence of) effect under both policies.
+  // Reject before any queue or clamp math runs, so a bad timestamp leaves
+  // no trace.
   if (!std::isfinite(t)) {
     throw std::invalid_argument("Engine::at: non-finite time " +
                                 std::to_string(t));
@@ -25,14 +23,9 @@ void Engine::at(Time t, std::function<void()> fn) {
     ++clamped_;
     t = now_;
   }
-  ScheduledEvent ev{t, next_seq_++, std::move(fn)};
-  if (policy_ == EnginePolicy::kHeap) {
-    heap_.push_back(std::move(ev));
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-    ++heap_ops_;
-  } else {
-    calendar_.push(std::move(ev));
-  }
+  heap_.push_back(ScheduledEvent{t, next_seq_++, std::move(fn)});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  ++heap_ops_;
   max_pending_ = std::max<std::uint64_t>(max_pending_, pending());
 }
 
@@ -80,36 +73,18 @@ void Engine::cancel_every(PeriodicId id) {
   ++inert_pending_;
 }
 
-bool Engine::next_time(Time* out) {
-  if (policy_ == EnginePolicy::kHeap) {
-    if (heap_.empty()) return false;
-    *out = heap_.front().t;
-    return true;
-  }
-  return calendar_.min_time(out);
-}
-
 void Engine::run_until(Time horizon) {
   if (std::isnan(horizon)) {
     throw std::invalid_argument("Engine::run_until: NaN horizon");
   }
-  if (policy_ == EnginePolicy::kHeap) {
-    while (!heap_.empty() && heap_.front().t <= horizon) {
-      std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      ++heap_ops_;
-      ScheduledEvent ev = std::move(heap_.back());
-      heap_.pop_back();
-      now_ = std::max(now_, ev.t);
-      ++executed_;
-      ev.fn();
-    }
-  } else {
-    ScheduledEvent ev;
-    while (calendar_.pop_if_leq(horizon, &ev)) {
-      now_ = std::max(now_, ev.t);
-      ++executed_;
-      ev.fn();
-    }
+  while (!heap_.empty() && heap_.front().t <= horizon) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    ++heap_ops_;
+    ScheduledEvent ev = std::move(heap_.back());
+    heap_.pop_back();
+    now_ = std::max(now_, ev.t);
+    ++executed_;
+    ev.fn();
   }
   now_ = std::max(now_, horizon);
 }

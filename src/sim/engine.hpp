@@ -7,16 +7,11 @@
 // order, so events are ordered by (timestamp, insertion sequence) and ties
 // are FIFO.
 //
-// Two interchangeable schedulers sit behind the same API, selected at
-// construction:
-//
-//   * EnginePolicy::kCalendar (default) -- a calendar queue
-//     (calendar_queue.hpp): O(1) amortized enqueue/dequeue, sized and
-//     re-sized to the observed event spacing.  This is the scale path.
-//   * EnginePolicy::kHeap -- the original std::push_heap binary heap:
-//     O(log n) per operation, trivially correct.  Kept as the A/B
-//     validation baseline; the determinism tests prove both policies
-//     produce bit-identical trajectories.
+// The queue is one std::push_heap/std::pop_heap binary heap of
+// ScheduledEvent: O(log n) per operation, trivially correct.  DESIGN.md
+// ("The event engine") records why it replaced a calendar queue: measured
+// end to end on real gcs_run cells, the calendar was never faster and
+// always cost memory.
 #ifndef GCS_SIM_ENGINE_HPP
 #define GCS_SIM_ENGINE_HPP
 
@@ -24,44 +19,51 @@
 #include <functional>
 #include <vector>
 
-#include "sim/calendar_queue.hpp"
-
 namespace gcs::sim {
 
 using Time = double;
 using Duration = double;
 
+// Accepted for source compatibility and ignored: both values select the
+// one binary-heap queue.
 enum class EnginePolicy { kCalendar, kHeap };
+
+// One scheduled callback.  Ordered by (t, seq); seq ties are FIFO.
+struct ScheduledEvent {
+  double t = 0.0;
+  std::uint64_t seq = 0;
+  std::function<void()> fn;
+};
 
 // Handle returned by every(); pass to cancel_every() to detach the
 // periodic callback.
 using PeriodicId = std::uint64_t;
 
 // Scheduler-health counters, composed on demand by Engine::stats().
-// max_pending is the queue's high-water mark; the policy-specific
-// counters expose what each scheduler actually did (heap sift
-// operations vs. calendar bucket probes and rebuilds), so result files
-// record WHY one policy outran the other, not just that it did.  The
-// stats legitimately differ between policies -- they describe the
-// scheduler, not the trajectory -- so they belong in result documents,
-// never in trajectory-derived artifacts like series CSVs.
+// max_pending is the queue's high-water mark and heap_ops counts the
+// push_heap and pop_heap calls.  They describe the scheduler, not the
+// trajectory, so they belong in result documents, never in
+// trajectory-derived artifacts like series CSVs.
 struct EngineStats {
   std::uint64_t max_pending = 0;
-  std::uint64_t heap_ops = 0;               // kHeap: push_heap + pop_heap
-  std::uint64_t calendar_resizes = 0;       // kCalendar: bucket rebuilds
-  std::uint64_t calendar_bucket_scans = 0;  // kCalendar: locate_min probes
+  std::uint64_t heap_ops = 0;  // push_heap + pop_heap
+  // Kept in the result schema from the deleted calendar queue; always 0.
+  std::uint64_t calendar_resizes = 0;
+  std::uint64_t calendar_bucket_scans = 0;
   // Sharded-engine counters (sim::ShardedEngine): barrier windows run and
   // cross-shard events staged through outboxes.  Always zero on a plain
   // single-queue engine; in sharded mode these are the only scheduler
-  // counters that are invariant across shard counts, so the per-shard
-  // policy counters above are reported as zero there.
+  // counters that are invariant across shard counts, so heap_ops is
+  // reported as zero there.
   std::uint64_t shard_windows = 0;
   std::uint64_t shard_staged_events = 0;
 };
 
 class Engine {
  public:
-  explicit Engine(EnginePolicy policy = EnginePolicy::kCalendar);
+  Engine() = default;
+  // The policy is ignored (see EnginePolicy).
+  explicit Engine(EnginePolicy /*policy*/) {}
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
@@ -70,11 +72,9 @@ class Engine {
   // -- and increments clamped_count().  Well-formed callers never
   // schedule in the past; tests and the harness assert the counter stays
   // zero so the clamp cannot silently hide scheduling bugs.
-  // Non-finite times throw std::invalid_argument under BOTH policies: a
-  // NaN poisons the calendar's year arithmetic (every comparison in
-  // locate_min is false, so the event becomes unreachable and stalls the
-  // scan) and an Inf breaks width estimation, so neither may enter any
-  // queue.
+  // Non-finite times throw std::invalid_argument: a NaN compares false
+  // with everything, so it would slip past the clamp and sit at an
+  // arbitrary heap position, and no non-finite time may enter the queue.
   void at(Time t, std::function<void()> fn);
 
   // Self-rescheduling periodic callback: fires at `first`, `first +
@@ -98,22 +98,23 @@ class Engine {
   // Executes every pending event with timestamp <= horizon, including
   // events scheduled by callbacks during the run, in (time, seq) order.
   // Advances now() to max(now, horizon).  A NaN horizon throws
-  // std::invalid_argument under both policies (every comparison with it
-  // is false: the calendar would drain forever, the heap run nothing).
+  // std::invalid_argument (every comparison with it is false, so it
+  // would silently run nothing).
   void run_until(Time horizon);
 
   // If any event is pending, stores the earliest pending timestamp in
-  // *out and returns true.  Non-const because the calendar advances its
-  // scan cursor to the minimum (the same walk the next pop would do, so
-  // the peek is effectively free).  Counts a cancelled periodic's inert
-  // leftover like any event: it still occupies a (t, seq) slot.
-  bool next_time(Time* out);
+  // *out and returns true.  Counts a cancelled periodic's inert leftover
+  // like any event: it still occupies a (t, seq) slot.
+  bool next_time(Time* out) const {
+    if (heap_.empty()) return false;
+    *out = heap_.front().t;
+    return true;
+  }
 
   Time now() const { return now_; }
   std::uint64_t events_executed() const { return executed_; }
   std::size_t pending() const {
-    const std::size_t raw =
-        policy_ == EnginePolicy::kHeap ? heap_.size() : calendar_.size();
+    const std::size_t raw = heap_.size();
     // inert_pending_ can exceed the queued residue only transiently,
     // inside a periodic callback that cancels itself (the entry's next
     // firing is counted as inert before it is physically scheduled).
@@ -126,11 +127,12 @@ class Engine {
   // the schedule.  Meaningful only when clamped_count() > 0.
   Time first_clamped_time() const { return first_clamped_time_; }
   std::uint64_t first_clamped_seq() const { return first_clamped_seq_; }
-  EnginePolicy policy() const { return policy_; }
   // Scheduler-health counters (see EngineStats above).
   EngineStats stats() const {
-    return EngineStats{max_pending_, heap_ops_, calendar_.resizes(),
-                       calendar_.scan_steps()};
+    EngineStats s;
+    s.max_pending = max_pending_;
+    s.heap_ops = heap_ops_;
+    return s;
   }
 
  private:
@@ -150,9 +152,7 @@ class Engine {
   // Runs firing `t` of periodic `id` and queues the next one.
   void fire_periodic(PeriodicId id, Time t);
 
-  EnginePolicy policy_;
-  std::vector<ScheduledEvent> heap_;  // kHeap: min-heap via std::push_heap
-  CalendarQueue calendar_;            // kCalendar
+  std::vector<ScheduledEvent> heap_;  // min-heap via std::push_heap
   // The callbacks registered by every(), indexed by PeriodicId; queued
   // firings carry only the id, so emptying an entry (cancel_every) makes
   // its future firings no-ops.
@@ -161,7 +161,7 @@ class Engine {
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   // Queued events whose periodic entry has been emptied: physically in
-  // a queue (preserving everyone else's (t, seq) order) but guaranteed
+  // the queue (preserving everyone else's (t, seq) order) but guaranteed
   // no-ops.  Incremented by cancel_every, decremented when the inert
   // event pops; pending() subtracts it.
   std::size_t inert_pending_ = 0;

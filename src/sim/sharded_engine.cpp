@@ -9,9 +9,8 @@
 
 namespace gcs::sim {
 
-ShardedEngine::ShardedEngine(std::size_t shards, Duration window,
-                             EnginePolicy policy)
-    : window_(window), globals_(policy) {
+ShardedEngine::ShardedEngine(std::size_t shards, Duration window)
+    : window_(window) {
   if (shards > 0 && (!std::isfinite(window) || window <= 0.0)) {
     throw std::invalid_argument(
         "ShardedEngine: lookahead window must be positive and finite, got " +
@@ -19,7 +18,7 @@ ShardedEngine::ShardedEngine(std::size_t shards, Duration window,
   }
   engines_.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s) {
-    engines_.push_back(std::make_unique<Engine>(policy));
+    engines_.push_back(std::make_unique<Engine>());
   }
   outboxes_.assign(shards + 1, std::vector<std::vector<Post>>(shards));
   errors_.assign(shards, nullptr);

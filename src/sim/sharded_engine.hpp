@@ -7,8 +7,7 @@
 // own queues concurrently without ever observing an event out of order.
 //
 // ShardedEngine composes K independent sim::Engine instances (one per
-// shard, same EnginePolicy, so the calendar queue is reused unchanged)
-// plus one "globals" engine for cross-cutting work (topology deltas,
+// shard) plus one "globals" engine for cross-cutting work (topology deltas,
 // periodic samplers) that must see every shard quiescent.  A run is a
 // sequence of barrier-window rounds:
 //
@@ -97,8 +96,7 @@ class ShardedEngine {
   // positive and finite when shards >= 1.  shards == 1 runs everything
   // inline on the calling thread; shards == 0 is the one-queue engine
   // (see the file comment) and ignores `window`.
-  ShardedEngine(std::size_t shards, Duration window,
-                EnginePolicy policy = EnginePolicy::kCalendar);
+  ShardedEngine(std::size_t shards, Duration window);
   ~ShardedEngine();
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
@@ -155,11 +153,11 @@ class ShardedEngine {
   }
 
   // max_pending is sampled at barriers (sum over queues + outboxes);
-  // the per-policy scheduler counters are reported as zero because
-  // their values depend on the shard count, and result documents must
-  // not (see EngineStats).  shard_windows / shard_staged_events are the
-  // sharded scheduler's own K-invariant health counters.  At zero shards
-  // this is the one queue's own stats, policy counters included.
+  // heap_ops is reported as zero because its value depends on the shard
+  // count, and result documents must not (see EngineStats).
+  // shard_windows / shard_staged_events are the sharded scheduler's own
+  // K-invariant health counters.  At zero shards this is the one queue's
+  // own stats, heap_ops included.
   EngineStats stats() const;
 
  private:

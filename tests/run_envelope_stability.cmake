@@ -1,11 +1,11 @@
 # End-to-end CTest for the envelope byte-stability contract (the PR-10
 # tentpole acceptance): campaigns/ablation_frontier.json run through the
-# real gcs_run binary over {--jobs 1,2} x {calendar,heap} x {shards 0,4}
+# real gcs_run binary over {--jobs 1,2} x {shards 0,4}
 # must produce ONE envelope-fit artifact -- the fitter's group key folds
 # every execution-layout axis, so `gcs_report --envelope-json` output is
 # byte-identical across the whole grid, with no normalization allowed.
 # The rendered --envelope report section must agree byte-for-byte too
-# (the surrounding report sections legitimately echo engine/tree-path
+# (the surrounding report sections legitimately echo shards/tree-path
 # differences, so only the envelope section is compared).
 #
 # The same artifact must then match the committed ENVELOPE_baseline.json
@@ -38,19 +38,16 @@ function(envelope_section path out_var)
   set(${out_var} "${section}" PARENT_SCOPE)
 endfunction()
 
-# {jobs 1,2} x {calendar,heap} x {shards 0,4}; "ref" is jobs=1 calendar
-# unsharded.  (Each tuple is quoted so the embedded ';' survives as a
-# sub-list -- do not collect these into one set() variable.)
-foreach(cfg "ref;1;calendar;0" "j2;2;calendar;0" "heap;1;heap;0"
-            "s4;1;calendar;4" "h4;2;heap;4" "hj;2;heap;0"
-            "s4j;2;calendar;4" "h4j1;1;heap;4")
+# {jobs 1,2} x {shards 0,4}; "ref" is jobs=1 unsharded.  (Each tuple is
+# quoted so the embedded ';' survives as a sub-list -- do not collect
+# these into one set() variable.)
+foreach(cfg "ref;1;0" "j2;2;0" "s4;1;4" "s4j;2;4")
   list(GET cfg 0 tree)
   list(GET cfg 1 jobs)
-  list(GET cfg 2 engine)
-  list(GET cfg 3 shards)
+  list(GET cfg 2 shards)
   execute_process(
     COMMAND "${GCS_RUN}" --campaign "${CAMPAIGN}" --check --quiet
-            --jobs ${jobs} --engine=${engine} --shards=${shards}
+            --jobs ${jobs} --shards=${shards}
             --out "${OUT_DIR}/${tree}"
     RESULT_VARIABLE rc
     OUTPUT_VARIABLE stdout
@@ -72,7 +69,7 @@ foreach(cfg "ref;1;calendar;0" "j2;2;calendar;0" "heap;1;heap;0"
 endforeach()
 
 envelope_section("${OUT_DIR}/ref.report.txt" want_section)
-foreach(tree j2 heap s4 h4 hj s4j h4j1)
+foreach(tree j2 s4 s4j)
   # The artifact: exact bytes, nothing normalized.
   execute_process(
     COMMAND ${CMAKE_COMMAND} -E compare_files
@@ -129,6 +126,6 @@ if(NOT stderr MATCHES "cannot compare a file with a tree")
   message(FATAL_ERROR "file-vs-tree error not reported:\n${stderr}")
 endif()
 
-message(STATUS "envelope stability: 8 {jobs} x {engine} x {shards} layouts "
+message(STATUS "envelope stability: 4 {jobs} x {shards} layouts "
         "produced identical envelope artifacts; committed baseline gate "
         "holds and flags perturbations")

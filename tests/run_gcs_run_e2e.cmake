@@ -1,5 +1,6 @@
 # End-to-end CTest for gcs_run: drive the real binary through a 2-cell
-# sweep in --check mode and validate the CSV artifact's shape.
+# sweep in --check mode and validate the CSV artifact's shape, then check
+# that --list names a non-finite input instead of echoing it.
 #
 # Invoked in script mode by CTest (see add_test in the top-level
 # CMakeLists) with:
@@ -76,4 +77,18 @@ if(NOT jsonl_count EQUAL 2)
   message(FATAL_ERROR "expected 2 JSONL lines, got ${jsonl_count}")
 endif()
 
-message(STATUS "gcs_run e2e: 2-cell sweep ok, CSV schema intact")
+# A non-finite input is named before --list echoes anything (json cannot
+# hold a NaN, so the echo used to fail with an anonymous json error).
+execute_process(
+  COMMAND "${GCS_RUN}" --list --B0=nan
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE stdout
+  ERROR_VARIABLE stderr)
+if(NOT rc EQUAL 2 OR NOT stderr MATCHES "B0 must be finite" OR
+   NOT stdout STREQUAL "")
+  message(FATAL_ERROR "--list --B0=nan: want exit 2 naming B0, got ${rc}\n"
+                      "stdout:\n${stdout}\nstderr:\n${stderr}")
+endif()
+
+message(STATUS "gcs_run e2e: 2-cell sweep ok, CSV schema intact, "
+               "non-finite --list input named")

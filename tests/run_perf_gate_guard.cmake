@@ -1,13 +1,8 @@
 # Guard for scripts/perf_compare.py's failure modes: every gate must fail
-# LOUDLY (exit 2, "unusable input") when a benchmark shape or counter it
-# depends on is absent, instead of silently passing with reduced
-# coverage.  Two holes this pins closed:
-#
-#   a. A Hold shape present on only one side (renamed/dropped benchmark)
-#      used to be quietly intersected away as long as any shared shape
-#      survived.
-#   b. A current run without the hw_threads counter used to downgrade the
-#      sharded-speedup gate to "informational" -- a silent pass.
+# LOUDLY (exit 2, "unusable input") when a counter it depends on is
+# absent, instead of silently passing with reduced coverage.  The hole
+# this pins closed: a current run without the hw_threads counter used to
+# downgrade the sharded-speedup gate to "informational" -- a silent pass.
 #
 # Fixture benchmark JSONs are built with file(WRITE); no benchmark binary
 # runs, so this costs milliseconds.
@@ -30,29 +25,18 @@ endif()
 file(REMOVE_RECURSE "${OUT_DIR}")
 file(MAKE_DIRECTORY "${OUT_DIR}")
 
-# One fully-populated benchmark run: two Hold shapes (heap+calendar at
-# 10000 and 20000 pending, continuous), the telemetry/sharded/columns
-# counters, and hw_threads.  Optional extra entries splice in before the
-# closing bracket so variants can add or omit pieces.
-function(write_run path hold_entries counters)
-  file(WRITE "${path}" "{\"benchmarks\": [${hold_entries}${counters}]}")
+# One fully-populated benchmark run: the telemetry/sharded/columns
+# counters and hw_threads.  Variants swap in a counter set that omits or
+# degrades a piece.
+function(write_run path counters)
+  file(WRITE "${path}" "{\"benchmarks\": [${counters}]}")
 endfunction()
-
-set(HOLD_FULL "
-  {\"name\": \"BM_EventQueue_Hold/10000/0/0\", \"run_type\": \"iteration\", \"cpu_time\": 400.0},
-  {\"name\": \"BM_EventQueue_Hold/10000/1/0\", \"run_type\": \"iteration\", \"cpu_time\": 100.0},
-  {\"name\": \"BM_EventQueue_Hold/20000/0/0\", \"run_type\": \"iteration\", \"cpu_time\": 900.0},
-  {\"name\": \"BM_EventQueue_Hold/20000/1/0\", \"run_type\": \"iteration\", \"cpu_time\": 200.0},")
-# Same shapes, only the 10000 pair (drops the 20000 shape).
-set(HOLD_PARTIAL "
-  {\"name\": \"BM_EventQueue_Hold/10000/0/0\", \"run_type\": \"iteration\", \"cpu_time\": 400.0},
-  {\"name\": \"BM_EventQueue_Hold/10000/1/0\", \"run_type\": \"iteration\", \"cpu_time\": 100.0},")
 
 set(COUNTERS_FULL "
   {\"name\": \"BM_TelemetryOverhead/iterations:25\", \"run_type\": \"iteration\", \"cpu_time\": 1.0, \"telemetry_overhead_ratio\": 1.02},
   {\"name\": \"BM_ShardedHold/iterations:5\", \"run_type\": \"iteration\", \"cpu_time\": 1.0, \"sharded_speedup_ratio\": 2.1, \"hw_threads\": 8},
   {\"name\": \"BM_MillionNodeChurn/20000/iterations:5\", \"run_type\": \"iteration\", \"cpu_time\": 1.0, \"columns_speedup_ratio\": 1.4}")
-# hw_threads missing from the sharded entry (hole b).
+# hw_threads missing from the sharded entry.
 set(COUNTERS_NO_HW "
   {\"name\": \"BM_TelemetryOverhead/iterations:25\", \"run_type\": \"iteration\", \"cpu_time\": 1.0, \"telemetry_overhead_ratio\": 1.02},
   {\"name\": \"BM_ShardedHold/iterations:5\", \"run_type\": \"iteration\", \"cpu_time\": 1.0, \"sharded_speedup_ratio\": 2.1},
@@ -62,18 +46,17 @@ set(COUNTERS_NO_SHARDED "
   {\"name\": \"BM_TelemetryOverhead/iterations:25\", \"run_type\": \"iteration\", \"cpu_time\": 1.0, \"telemetry_overhead_ratio\": 1.02},
   {\"name\": \"BM_MillionNodeChurn/20000/iterations:5\", \"run_type\": \"iteration\", \"cpu_time\": 1.0, \"columns_speedup_ratio\": 1.4}")
 
-write_run("${OUT_DIR}/baseline.json" "${HOLD_FULL}" "${COUNTERS_FULL}")
-write_run("${OUT_DIR}/current_ok.json" "${HOLD_FULL}" "${COUNTERS_FULL}")
-write_run("${OUT_DIR}/current_partial.json" "${HOLD_PARTIAL}" "${COUNTERS_FULL}")
-write_run("${OUT_DIR}/current_no_hw.json" "${HOLD_FULL}" "${COUNTERS_NO_HW}")
-write_run("${OUT_DIR}/current_no_sharded.json" "${HOLD_FULL}" "${COUNTERS_NO_SHARDED}")
-# A genuine regression (heap/calendar speedup collapsed from 4x to 1x):
-set(HOLD_REGRESSED "
-  {\"name\": \"BM_EventQueue_Hold/10000/0/0\", \"run_type\": \"iteration\", \"cpu_time\": 100.0},
-  {\"name\": \"BM_EventQueue_Hold/10000/1/0\", \"run_type\": \"iteration\", \"cpu_time\": 100.0},
-  {\"name\": \"BM_EventQueue_Hold/20000/0/0\", \"run_type\": \"iteration\", \"cpu_time\": 200.0},
-  {\"name\": \"BM_EventQueue_Hold/20000/1/0\", \"run_type\": \"iteration\", \"cpu_time\": 200.0},")
-write_run("${OUT_DIR}/current_regressed.json" "${HOLD_REGRESSED}" "${COUNTERS_FULL}")
+# A genuine regression: the columns store fell to half the object path.
+set(COUNTERS_REGRESSED "
+  {\"name\": \"BM_TelemetryOverhead/iterations:25\", \"run_type\": \"iteration\", \"cpu_time\": 1.0, \"telemetry_overhead_ratio\": 1.02},
+  {\"name\": \"BM_ShardedHold/iterations:5\", \"run_type\": \"iteration\", \"cpu_time\": 1.0, \"sharded_speedup_ratio\": 2.1, \"hw_threads\": 8},
+  {\"name\": \"BM_MillionNodeChurn/20000/iterations:5\", \"run_type\": \"iteration\", \"cpu_time\": 1.0, \"columns_speedup_ratio\": 0.5}")
+
+write_run("${OUT_DIR}/baseline.json" "${COUNTERS_FULL}")
+write_run("${OUT_DIR}/current_ok.json" "${COUNTERS_FULL}")
+write_run("${OUT_DIR}/current_no_hw.json" "${COUNTERS_NO_HW}")
+write_run("${OUT_DIR}/current_no_sharded.json" "${COUNTERS_NO_SHARDED}")
+write_run("${OUT_DIR}/current_regressed.json" "${COUNTERS_REGRESSED}")
 
 # Runs perf_compare against baseline.json and asserts exit code + message.
 function(expect_exit current want_rc want_pattern what)
@@ -96,9 +79,7 @@ endfunction()
 
 # Clean fixtures pass every gate.
 expect_exit(current_ok.json 0 "within tolerance" "clean fixtures")
-# Hole a: a dropped Hold shape must be unusable input, not a smaller gate.
-expect_exit(current_partial.json 2 "pending=20000" "partial Hold overlap")
-# Hole b: current run without hw_threads must be unusable input, not an
+# A current run without hw_threads must be unusable input, not an
 # informational downgrade of the sharded gate.
 expect_exit(current_no_hw.json 2 "hw_threads" "missing hw_threads")
 # The sharded counter vanishing entirely stays loud too.
@@ -107,5 +88,5 @@ expect_exit(current_no_sharded.json 2 "sharded_speedup_ratio" "missing sharded c
 # actual comparison path).
 expect_exit(current_regressed.json 1 "REGRESSION" "genuine regression")
 
-message(STATUS "perf gate guard: partial shape overlap and missing "
-        "hw_threads both exit 2; clean fixtures pass; regressions exit 1")
+message(STATUS "perf gate guard: missing hw_threads and missing sharded "
+        "counter exit 2; clean fixtures pass; regressions exit 1")

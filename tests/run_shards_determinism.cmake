@@ -1,15 +1,10 @@
 # End-to-end CTest for the sharded-engine determinism matrix (the
 # tentpole acceptance): campaigns/churn.json run through the real
-# gcs_run binary over {shards 1, 2, 4} x {calendar, heap} x {jobs 1, 2}
-# must produce byte-identical result trees, where "identical" is exact
-# except for the declared execution-layout echoes:
-#
-#   * the "shards" value in the config echo (normalized before compare;
-#     gcs_diff strips it the same way, which the --strict runs prove);
-#   * the "engine" value in the config echo and campaign.csv's engine
-#     column for the heap trees (the telemetry matrix already pins the
-#     calendar/heap trajectory equality; here the engine axis rides the
-#     SHARDED scheduler).
+# gcs_run binary over {shards 1, 2, 4} x {jobs 1, 2} must produce
+# byte-identical result trees, where "identical" is exact except for the
+# declared execution-layout echo: the "shards" value in the config echo
+# (normalized before compare; gcs_diff strips it the same way, which the
+# --strict runs prove).
 #
 # Every series/trace artifact -- pure trajectory bytes -- must be exactly
 # identical across the whole grid, and gcs_diff --strict must pass
@@ -31,16 +26,14 @@ endforeach()
 
 file(REMOVE_RECURSE "${OUT_DIR}")
 
-# The grid: shards=1 calendar --jobs 1 is the single-threaded reference.
-foreach(cfg "ref;1;calendar;1" "s2;2;calendar;1" "s4;4;calendar;1"
-            "s4j2;4;calendar;2" "s1h;1;heap;1" "s4h;4;heap;2")
+# The grid: shards=1 --jobs 1 is the single-threaded reference.
+foreach(cfg "ref;1;1" "s2;2;1" "s4;4;1" "s4j2;4;2")
   list(GET cfg 0 tree)
   list(GET cfg 1 shards)
-  list(GET cfg 2 engine)
-  list(GET cfg 3 jobs)
+  list(GET cfg 2 jobs)
   execute_process(
     COMMAND "${GCS_RUN}" --campaign "${CAMPAIGN}" --check --quiet
-            --jobs ${jobs} --shards=${shards} --engine=${engine}
+            --jobs ${jobs} --shards=${shards}
             --delay=constant:0.5 --fixed-timing
             --series --trace=1024 --out "${OUT_DIR}/${tree}"
     RESULT_VARIABLE rc
@@ -59,16 +52,10 @@ if(file_count LESS 39)  # 12 cells x (json + series + trace) + csv + jsonl + sum
   message(FATAL_ERROR "suspiciously small tree (${file_count} files): ${ref_files}")
 endif()
 
-# Reads a tree file with the execution-layout echoes normalized away.
-# strip_engine additionally blanks the config echo's engine string and
-# campaign.csv's engine column (column 7 of the fixed header).
-function(read_normalized path strip_engine out_var)
+# Reads a tree file with the execution-layout echo normalized away.
+function(read_normalized path out_var)
   file(READ "${path}" text)
   string(REGEX REPLACE "\"shards\": *[0-9]+" "\"shards\": X" text "${text}")
-  if(strip_engine)
-    string(REGEX REPLACE "\"engine\": *\"[a-z]+\"" "\"engine\": X" text "${text}")
-    string(REGEX REPLACE ",(calendar|heap)," ",X," text "${text}")
-  endif()
   set(${out_var} "${text}" PARENT_SCOPE)
 endfunction()
 
@@ -83,37 +70,26 @@ foreach(f ${ref_files})
     set(pure_trajectory TRUE)
     math(EXPR trace_count "${trace_count} + 1")
   endif()
-  foreach(cfg "s2;FALSE" "s4;FALSE" "s4j2;FALSE" "s1h;TRUE" "s4h;TRUE")
-    list(GET cfg 0 tree)
-    list(GET cfg 1 other_engine)
+  foreach(tree s2 s4 s4j2)
     if(NOT EXISTS "${OUT_DIR}/${tree}/${f}")
       message(FATAL_ERROR "${tree} is missing ${f}")
     endif()
-    if(pure_trajectory OR NOT other_engine)
-      if(pure_trajectory)
-        # Trajectory bytes: exact equality across the WHOLE grid, no
-        # normalization allowed.
-        execute_process(
-          COMMAND ${CMAKE_COMMAND} -E compare_files
-                  "${REF}/${f}" "${OUT_DIR}/${tree}/${f}"
-          RESULT_VARIABLE cmp)
-        if(NOT cmp EQUAL 0)
-          message(FATAL_ERROR "${tree} produced different bytes for ${f}")
-        endif()
-      else()
-        read_normalized("${REF}/${f}" FALSE want)
-        read_normalized("${OUT_DIR}/${tree}/${f}" FALSE got)
-        if(NOT want STREQUAL got)
-          message(FATAL_ERROR
-                  "${tree} differs from ref in ${f} beyond the shards echo")
-        endif()
+    if(pure_trajectory)
+      # Trajectory bytes: exact equality across the WHOLE grid, no
+      # normalization allowed.
+      execute_process(
+        COMMAND ${CMAKE_COMMAND} -E compare_files
+                "${REF}/${f}" "${OUT_DIR}/${tree}/${f}"
+        RESULT_VARIABLE cmp)
+      if(NOT cmp EQUAL 0)
+        message(FATAL_ERROR "${tree} produced different bytes for ${f}")
       endif()
     else()
-      read_normalized("${REF}/${f}" TRUE want)
-      read_normalized("${OUT_DIR}/${tree}/${f}" TRUE got)
+      read_normalized("${REF}/${f}" want)
+      read_normalized("${OUT_DIR}/${tree}/${f}" got)
       if(NOT want STREQUAL got)
         message(FATAL_ERROR
-                "${tree} differs from ref in ${f} beyond the shards/engine echo")
+                "${tree} differs from ref in ${f} beyond the shards echo")
       endif()
     endif()
   endforeach()
@@ -160,7 +136,7 @@ if(NOT stdout MATCHES "messages_delivered")
   message(FATAL_ERROR "gcs_diff did not name the perturbed field:\n${stdout}")
 endif()
 
-message(STATUS "shards determinism: {shards 1,2,4} x {calendar,heap} x "
-        "{jobs 1,2} trees identical modulo the declared config echoes "
+message(STATUS "shards determinism: {shards 1,2,4} x {jobs 1,2} trees "
+        "identical modulo the declared config echo "
         "(${series_count} series + ${trace_count} trace files exact); "
         "gcs_diff gate works")

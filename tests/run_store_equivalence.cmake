@@ -1,8 +1,7 @@
 # End-to-end CTest for the store-equivalence matrix (the PR-8 tentpole
 # acceptance): the struct-of-arrays columns store and the per-node
 # adapter store must produce byte-identical result trees across
-# {churn, switching-star, gauss-markov} x {calendar, heap} x
-# {shards 0, 1, 4}, plus the variant axis {weighted:0.5, noblock,
+# {churn, switching-star, gauss-markov} x {shards 0, 1, 4}, plus the variant axis {weighted:0.5, noblock,
 # nojump} x {shards 0, 4} on churn, where "identical" is exact except
 # for the two declared store echoes:
 #
@@ -103,12 +102,10 @@ foreach(scenario_spec ${scenarios})
   string(REPLACE "|" ";" scenario_parts "${scenario_spec}")
   list(GET scenario_parts 0 sc_tag)
   list(GET scenario_parts 1 sc_flag)
-  foreach(engine calendar heap)
-    foreach(shards 0 1 4)
-      check_pair("${sc_tag}-${engine}-s${shards}" "--scenario=${sc_flag}"
-                 "--engine=${engine}" "--shards=${shards}")
-      math(EXPR pairs_checked "${pairs_checked} + 1")
-    endforeach()
+  foreach(shards 0 1 4)
+    check_pair("${sc_tag}-s${shards}" "--scenario=${sc_flag}"
+               "--shards=${shards}")
+    math(EXPR pairs_checked "${pairs_checked} + 1")
   endforeach()
 endforeach()
 
@@ -126,15 +123,15 @@ foreach(variant_spec "weighted|weighted:0.5" "noblock|noblock" "nojump|nojump")
   endforeach()
 endforeach()
 
-if(NOT pairs_checked EQUAL 24)
-  message(FATAL_ERROR "expected 24 matrix points, checked ${pairs_checked}")
+if(NOT pairs_checked EQUAL 15)
+  message(FATAL_ERROR "expected 15 matrix points, checked ${pairs_checked}")
 endif()
 
 # gcs_diff --strict agrees: it strips config.store and skips arena_bytes
 # itself, so a columns tree must compare clean against an adapter tree.
 execute_process(
-  COMMAND "${GCS_DIFF}" "${OUT_DIR}/churn-calendar-s0-columns"
-          "${OUT_DIR}/churn-calendar-s0-adapter" --strict
+  COMMAND "${GCS_DIFF}" "${OUT_DIR}/churn-s0-columns"
+          "${OUT_DIR}/churn-s0-adapter" --strict
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE stdout
   ERROR_VARIABLE stderr)
@@ -144,7 +141,7 @@ if(NOT rc EQUAL 0)
 endif()
 
 # ...and still flags a real trajectory difference, naming the field.
-file(GLOB cell_files "${OUT_DIR}/churn-calendar-s0-adapter/cells/*.json")
+file(GLOB cell_files "${OUT_DIR}/churn-s0-adapter/cells/*.json")
 list(SORT cell_files)
 list(GET cell_files 0 victim)
 file(READ "${victim}" cell_text)
@@ -152,8 +149,8 @@ string(REGEX REPLACE "\"total_jump\": [0-9.e+-]+"
        "\"total_jump\": 123456789" cell_text "${cell_text}")
 file(WRITE "${victim}" "${cell_text}")
 execute_process(
-  COMMAND "${GCS_DIFF}" "${OUT_DIR}/churn-calendar-s0-columns"
-          "${OUT_DIR}/churn-calendar-s0-adapter" --strict
+  COMMAND "${GCS_DIFF}" "${OUT_DIR}/churn-s0-columns"
+          "${OUT_DIR}/churn-s0-adapter" --strict
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE stdout)
 if(rc EQUAL 0)
@@ -165,7 +162,7 @@ if(NOT stdout MATCHES "total_jump")
 endif()
 
 message(STATUS "store equivalence: {churn,switching-star,gauss-markov} x "
-        "{calendar,heap} x {shards 0,1,4} and {weighted,noblock,nojump} x "
+        "{shards 0,1,4} and {weighted,noblock,nojump} x "
         "{shards 0,4} columns/adapter trees identical "
         "modulo the declared store echoes (${pairs_checked} matrix points); "
         "gcs_diff gate works")

@@ -1,12 +1,12 @@
 # End-to-end CTest for the telemetry determinism matrix: the series and
-# trace artifacts are trajectory-derived bytes only, so they must be
-# byte-identical across BOTH determinism axes at once --
+# trace artifacts are trajectory-derived bytes only, so --jobs 1 vs
+# --jobs 2 (workers compute, the committer writes in cell order) must
+# give the FULL tree identical, telemetry files included.
 #
-#   * --jobs 1 vs --jobs 2 (workers compute, the committer writes in cell
-#     order): the FULL tree is identical, telemetry files included;
-#   * --engine=calendar vs --engine=heap (same trajectory, different
-#     scheduler): every *.series.csv and *.trace.jsonl is identical; the
-#     cell documents legitimately differ (config echo + engine_stats).
+# Plus the `engine` key's compatibility contract: there is one event
+# queue, and --engine=calendar and --engine=heap both select it, so their
+# trees are identical except for the echoed engine value (config echo and
+# campaign.csv's engine column); --engine=foo is rejected, naming the key.
 #
 # Plus the gcs_report stability contract: running the report twice on one
 # tree produces identical bytes.
@@ -24,7 +24,7 @@ endforeach()
 
 file(REMOVE_RECURSE "${OUT_DIR}")
 
-# Three trees; --engine=<policy> is a scalar override, so it never enters
+# Three trees; --engine=<value> is a scalar override, so it never enters
 # the cell labels and the three trees share file names.
 foreach(cfg "jobs1-calendar;1;calendar" "jobs2-calendar;2;calendar"
             "jobs1-heap;1;heap")
@@ -54,26 +54,28 @@ list(SORT a_files)
 set(series_count 0)
 set(trace_count 0)
 foreach(f ${a_files})
-  # Axis 1: --jobs never changes a byte, telemetry artifacts included.
+  # --jobs never changes a byte, telemetry artifacts included.
   execute_process(
     COMMAND ${CMAKE_COMMAND} -E compare_files "${TREE_A}/${f}" "${TREE_B}/${f}"
     RESULT_VARIABLE cmp)
   if(NOT cmp EQUAL 0)
     message(FATAL_ERROR "--jobs 2 produced different bytes for ${f}")
   endif()
-  # Axis 2: engine policy never changes a trajectory-derived byte.
-  if(f MATCHES "\\.series\\.csv$" OR f MATCHES "\\.trace\\.jsonl$")
-    execute_process(
-      COMMAND ${CMAKE_COMMAND} -E compare_files "${TREE_A}/${f}" "${TREE_H}/${f}"
-      RESULT_VARIABLE cmp)
-    if(NOT cmp EQUAL 0)
-      message(FATAL_ERROR "--engine=heap produced different bytes for ${f}")
-    endif()
-    if(f MATCHES "\\.series\\.csv$")
-      math(EXPR series_count "${series_count} + 1")
-    else()
-      math(EXPR trace_count "${trace_count} + 1")
-    endif()
+  # The engine key: heap and calendar are the same queue, so only the
+  # echoed value may differ.
+  file(READ "${TREE_A}/${f}" want)
+  file(READ "${TREE_H}/${f}" got)
+  string(REGEX REPLACE "(\"engine\": *)\"heap\"" "\\1\"calendar\""
+         got "${got}")
+  string(REPLACE ",heap," ",calendar," got "${got}")
+  if(NOT want STREQUAL got)
+    message(FATAL_ERROR
+            "--engine=heap differs in ${f} beyond the engine echo")
+  endif()
+  if(f MATCHES "\\.series\\.csv$")
+    math(EXPR series_count "${series_count} + 1")
+  elseif(f MATCHES "\\.trace\\.jsonl$")
+    math(EXPR trace_count "${trace_count} + 1")
   endif()
 endforeach()
 
@@ -82,6 +84,18 @@ endforeach()
 if(series_count LESS 12 OR trace_count LESS 12)
   message(FATAL_ERROR "expected >= 12 series + 12 trace files, found "
           "${series_count} series / ${trace_count} trace")
+endif()
+
+# Any other engine value is an error that names the key.
+execute_process(
+  COMMAND "${GCS_RUN}" --campaign "${CAMPAIGN}" --quiet --engine=foo
+          --horizon=2 --out "${OUT_DIR}/engine-foo"
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE stdout
+  ERROR_VARIABLE stderr)
+if(rc EQUAL 0 OR NOT "${stdout}${stderr}" MATCHES "unknown engine 'foo'")
+  message(FATAL_ERROR "--engine=foo: want a failure naming the engine key, "
+          "got exit ${rc}\n${stdout}\n${stderr}")
 endif()
 
 # gcs_report is a pure function of the tree: two runs, identical bytes.
@@ -104,5 +118,6 @@ if(NOT cmp EQUAL 0)
 endif()
 
 message(STATUS "telemetry determinism: ${series_count} series + ${trace_count} "
-        "trace files byte-identical across --jobs and engine policies; "
+        "trace files byte-identical across --jobs; engine=calendar|heap "
+        "trees identical modulo the echo, engine=foo rejected; "
         "gcs_report stable")

@@ -1,9 +1,8 @@
-// The determinism contract across the engine/delivery matrix: the same
-// seed and parameters must produce BIT-IDENTICAL logical-clock and skew
-// trajectories whether events come from the binary heap or the calendar
-// queue, and whether deliveries are batched or per-receiver.  This is
-// what makes the calendar queue and batched delivery safe defaults: they
-// are pure performance changes, invisible to the physics.
+// The determinism contract across delivery modes and shard counts: the
+// same seed and parameters must produce BIT-IDENTICAL logical-clock and
+// skew trajectories whether deliveries are batched or per-receiver.
+// This is what makes batched delivery a safe default: it is a pure
+// performance change, invisible to the physics.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -25,7 +24,6 @@ namespace {
 using gcs::core::NetworkSimulation;
 using gcs::core::SimOptions;
 using gcs::core::SyncParams;
-using gcs::sim::EnginePolicy;
 
 SyncParams test_params(std::size_t n) {
   SyncParams p;
@@ -57,12 +55,10 @@ struct Trace {
   std::uint64_t clamped = 0;
 };
 
-Trace run(const gcs::net::Scenario& scenario, EnginePolicy policy,
-          bool batched, double horizon) {
+Trace run(const gcs::net::Scenario& scenario, bool batched, double horizon) {
   const SyncParams p = test_params(scenario.n);
   SimOptions options;
   options.seed = 1234;
-  options.engine_policy = policy;
   options.batched_delivery = batched;
   NetworkSimulation sim(
       p, scenario.to_dynamic_graph(), gcs::net::make_uniform_delay(p.T, 0.0, p.T),
@@ -85,40 +81,25 @@ Trace run(const gcs::net::Scenario& scenario, EnginePolicy policy,
   return trace;
 }
 
-// Runs the full 2x2 {engine} x {delivery} matrix on a scenario and
-// checks every observable against the baseline, bit for bit.
+// Runs the scenario per-receiver and batched and checks every observable
+// of the batched run against the per-receiver baseline, bit for bit.
 void expect_identical_across_modes(const gcs::net::Scenario& scenario,
                                    double horizon) {
-  const Trace base = run(scenario, EnginePolicy::kHeap, false, horizon);
+  const Trace base = run(scenario, false, horizon);
   ASSERT_FALSE(base.clocks.empty());
   EXPECT_GT(base.messages_delivered, 0u);
   EXPECT_EQ(base.clamped, 0u);
-  const struct {
-    EnginePolicy policy;
-    bool batched;
-    const char* name;
-  } modes[] = {
-      {EnginePolicy::kHeap, true, "heap/batched"},
-      {EnginePolicy::kCalendar, false, "calendar/per-receiver"},
-      {EnginePolicy::kCalendar, true, "calendar/batched"},
-  };
-  for (const auto& mode : modes) {
-    const Trace got = run(scenario, mode.policy, mode.batched, horizon);
-    // EXPECT_EQ on the double vector: exact equality, not approximate --
-    // the trajectories must be the same floating-point numbers.
-    EXPECT_EQ(base.clocks, got.clocks) << scenario.name << " " << mode.name;
-    EXPECT_EQ(base.messages_sent, got.messages_sent) << mode.name;
-    EXPECT_EQ(base.messages_delivered, got.messages_delivered) << mode.name;
-    EXPECT_EQ(base.messages_dropped, got.messages_dropped) << mode.name;
-    EXPECT_EQ(base.jumps, got.jumps) << mode.name;
-    EXPECT_EQ(got.clamped, 0u) << mode.name;
-    // Batching must only ever reduce the delivery event count.
-    if (mode.batched) {
-      EXPECT_LE(got.delivery_events, base.delivery_events) << mode.name;
-    } else {
-      EXPECT_EQ(got.delivery_events, base.delivery_events) << mode.name;
-    }
-  }
+  const Trace got = run(scenario, true, horizon);
+  // EXPECT_EQ on the double vector: exact equality, not approximate --
+  // the trajectories must be the same floating-point numbers.
+  EXPECT_EQ(base.clocks, got.clocks) << scenario.name;
+  EXPECT_EQ(base.messages_sent, got.messages_sent);
+  EXPECT_EQ(base.messages_delivered, got.messages_delivered);
+  EXPECT_EQ(base.messages_dropped, got.messages_dropped);
+  EXPECT_EQ(base.jumps, got.jumps);
+  EXPECT_EQ(got.clamped, 0u);
+  // Batching must only ever reduce the delivery event count.
+  EXPECT_LE(got.delivery_events, base.delivery_events);
 }
 
 TEST(DeterminismMatrix, ChurnScenario) {
@@ -188,10 +169,9 @@ TEST(DeterminismMatrix, TraceScenarioWithEnforcedConnectivity) {
 TEST(DeterminismMatrix, CompleteGraphBatchingCoalesces) {
   const std::size_t n = 16;
   const SyncParams p = test_params(n);
-  auto run_complete = [&](EnginePolicy policy, bool batched) {
+  auto run_complete = [&](bool batched) {
     SimOptions options;
     options.seed = 5;
-    options.engine_policy = policy;
     options.batched_delivery = batched;
     options.check_conformance = false;
     NetworkSimulation sim(
@@ -209,10 +189,8 @@ TEST(DeterminismMatrix, CompleteGraphBatchingCoalesces) {
     }
     return std::make_pair(clocks, sim.stats());
   };
-  const auto [clocks_unbatched, stats_unbatched] =
-      run_complete(EnginePolicy::kHeap, false);
-  const auto [clocks_batched, stats_batched] =
-      run_complete(EnginePolicy::kCalendar, true);
+  const auto [clocks_unbatched, stats_unbatched] = run_complete(false);
+  const auto [clocks_batched, stats_batched] = run_complete(true);
   EXPECT_EQ(clocks_unbatched, clocks_batched);
   EXPECT_EQ(stats_unbatched.messages_delivered, stats_batched.messages_delivered);
   // Every broadcast fans out to n-1 receivers at one instant: batched
@@ -225,19 +203,17 @@ TEST(DeterminismMatrix, CompleteGraphBatchingCoalesces) {
 // ---------------------------------------------------------------------------
 // The sharded universe: options.shards >= 1 runs the conservative-
 // parallel engine on the delay floor.  Its contract is K-invariance --
-// every observable byte identical across shard counts and queue
-// policies, with shards=1 (inline, threadless) as the reference.  A
+// every observable byte identical across shard counts, with shards=1 (inline, threadless) as the reference.  A
 // sharded run is intentionally NOT compared against shards=0: per-node
 // RNG streams and per-message delivery events make it a separate
 // deterministic universe.
 // ---------------------------------------------------------------------------
 
-Trace run_sharded(const gcs::net::Scenario& scenario, EnginePolicy policy,
-                  std::size_t shards, double horizon) {
+Trace run_sharded(const gcs::net::Scenario& scenario, std::size_t shards,
+                  double horizon) {
   const SyncParams p = test_params(scenario.n);
   SimOptions options;
   options.seed = 1234;
-  options.engine_policy = policy;
   options.shards = shards;
   NetworkSimulation sim(
       p, scenario.to_dynamic_graph(),
@@ -263,32 +239,23 @@ Trace run_sharded(const gcs::net::Scenario& scenario, EnginePolicy policy,
 
 void expect_identical_across_shard_counts(const gcs::net::Scenario& scenario,
                                           double horizon) {
-  const Trace base = run_sharded(scenario, EnginePolicy::kCalendar, 1, horizon);
+  const Trace base = run_sharded(scenario, 1, horizon);
   ASSERT_FALSE(base.clocks.empty());
   EXPECT_GT(base.messages_delivered, 0u);
   EXPECT_EQ(base.clamped, 0u);
   // One engine event per message in sharded mode: the staging path has
   // no same-instant coalescing to do.
   EXPECT_EQ(base.delivery_events, base.messages_sent);
-  const struct {
-    EnginePolicy policy;
-    std::size_t shards;
-    const char* name;
-  } modes[] = {
-      {EnginePolicy::kHeap, 1, "shards1/heap"},
-      {EnginePolicy::kCalendar, 2, "shards2/calendar"},
-      {EnginePolicy::kCalendar, 4, "shards4/calendar"},
-      {EnginePolicy::kHeap, 4, "shards4/heap"},
-  };
-  for (const auto& mode : modes) {
-    const Trace got = run_sharded(scenario, mode.policy, mode.shards, horizon);
-    EXPECT_EQ(base.clocks, got.clocks) << scenario.name << " " << mode.name;
-    EXPECT_EQ(base.messages_sent, got.messages_sent) << mode.name;
-    EXPECT_EQ(base.messages_delivered, got.messages_delivered) << mode.name;
-    EXPECT_EQ(base.messages_dropped, got.messages_dropped) << mode.name;
-    EXPECT_EQ(base.delivery_events, got.delivery_events) << mode.name;
-    EXPECT_EQ(base.jumps, got.jumps) << mode.name;
-    EXPECT_EQ(got.clamped, 0u) << mode.name;
+  for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
+    const Trace got = run_sharded(scenario, shards, horizon);
+    const std::string name = "shards" + std::to_string(shards);
+    EXPECT_EQ(base.clocks, got.clocks) << scenario.name << " " << name;
+    EXPECT_EQ(base.messages_sent, got.messages_sent) << name;
+    EXPECT_EQ(base.messages_delivered, got.messages_delivered) << name;
+    EXPECT_EQ(base.messages_dropped, got.messages_dropped) << name;
+    EXPECT_EQ(base.delivery_events, got.delivery_events) << name;
+    EXPECT_EQ(base.jumps, got.jumps) << name;
+    EXPECT_EQ(got.clamped, 0u) << name;
   }
 }
 
@@ -332,8 +299,8 @@ TEST(DeterminismMatrixSharded, MoreShardsThanNodesClampsAndStaysInvariant) {
   gcs::util::Rng rng(7);
   const gcs::net::Scenario scenario =
       gcs::net::make_churn_scenario(12, 6, 8.0, 40.0, rng);
-  const Trace base = run_sharded(scenario, EnginePolicy::kCalendar, 1, 40.0);
-  const Trace wide = run_sharded(scenario, EnginePolicy::kCalendar, 64, 40.0);
+  const Trace base = run_sharded(scenario, 1, 40.0);
+  const Trace wide = run_sharded(scenario, 64, 40.0);
   EXPECT_EQ(base.clocks, wide.clocks);
   EXPECT_EQ(base.messages_delivered, wide.messages_delivered);
 }

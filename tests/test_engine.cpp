@@ -1,12 +1,17 @@
-// Engine tests run against BOTH scheduler policies: the binary heap and
-// the calendar queue must be observably identical (same callbacks, same
-// order, same counters) -- that equivalence is what lets the simulator
-// default to the calendar path.
+// Engine tests.  The binary heap is the only queue, so its ordering
+// contract -- (t, seq), FIFO ties, clamped past times -- is checked
+// against a sorted-set oracle below.  The suite is instantiated over both
+// values of the ignored EnginePolicy constructor argument: either one
+// must give the same engine.
 #include "sim/engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <limits>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -163,14 +168,10 @@ TEST_P(EngineTest, StatsTrackPendingHighWater) {
   engine.run_until(100.0);
   const gcs::sim::EngineStats stats = engine.stats();
   EXPECT_EQ(stats.max_pending, 32u);
-  // Exactly one of the policy counters is active for this engine.
-  if (GetParam() == gcs::sim::EnginePolicy::kHeap) {
-    EXPECT_GT(stats.heap_ops, 0u);
-    EXPECT_EQ(stats.calendar_bucket_scans, 0u);
-  } else {
-    EXPECT_EQ(stats.heap_ops, 0u);
-    EXPECT_GT(stats.calendar_bucket_scans, 0u);
-  }
+  EXPECT_EQ(stats.heap_ops, 64u);  // one push and one pop per event
+  // The deleted calendar queue's counters stay in the schema at zero.
+  EXPECT_EQ(stats.calendar_resizes, 0u);
+  EXPECT_EQ(stats.calendar_bucket_scans, 0u);
 }
 
 TEST_P(EngineTest, DeterministicAcrossIdenticalRuns) {
@@ -190,7 +191,6 @@ TEST_P(EngineTest, DeterministicAcrossIdenticalRuns) {
 
 TEST_P(EngineTest, PendingAccountingThroughPartialRuns) {
   Engine engine = make_engine();
-  // Enough load to force the calendar through several resizes.
   const int n = 20000;
   for (int i = 0; i < n; ++i) {
     engine.at(static_cast<double>(i % 100) + 0.5, [] {});
@@ -225,10 +225,9 @@ TEST_P(EngineTest, MillionEventSmoke) {
 }
 
 TEST_P(EngineTest, AtRejectsNonFiniteTimes) {
-  // A NaN or infinite timestamp must fail loudly under BOTH policies: the
-  // calendar's bucket math would silently corrupt on it (NaN compares
-  // false with everything, so it slips past the clamp), and the heap
-  // would order it arbitrarily.
+  // A NaN or infinite timestamp must fail loudly: a NaN compares false
+  // with everything, so it would slip past the clamp and sit at an
+  // arbitrary heap position.
   Engine engine = make_engine();
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
@@ -291,8 +290,8 @@ TEST_P(EngineTest, CancelEveryRemovesInertFiringFromPendingAccounting) {
 }
 
 TEST_P(EngineTest, RunUntilRejectsANaNHorizon) {
-  // Every comparison with NaN is false: the calendar would drain (and
-  // re-drain) its self-rescheduling events forever, the heap run nothing.
+  // Every comparison with NaN is false, so a NaN horizon would silently
+  // run nothing.
   Engine engine = make_engine();
   int fired = 0;
   engine.every(0.5, 0.5, [&](gcs::sim::Time) { ++fired; });
@@ -365,6 +364,128 @@ TEST_P(EngineTest, SelfCancellingPeriodicKeepsAccountingConsistent) {
   EXPECT_EQ(engine.pending(), 0u);
   // The chain's firing at t=1 plus its inert refire at t=2 both popped.
   EXPECT_EQ(engine.events_executed(), 2u);
+}
+
+// splitmix64: per-event choices in the oracle test are a pure function
+// of the event's id, so the engine and the oracle make the same ones.
+std::uint64_t mix(std::uint64_t x) {
+  x += 0x9E3779B97F4A7C15ULL;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
+// Times an event with id `id` firing at `now` schedules from inside its
+// callback: nothing, a same-time re-entry, a slotted time (ticks of 1/8,
+// so bursts of equal times pile up), or a past time that must clamp.
+std::vector<double> follow_ups(std::uint64_t id, double now) {
+  if (id >= 6000) return {};
+  const std::uint64_t h = mix(id);
+  switch (h % 4) {
+    case 0:
+      return {};
+    case 1:
+      return {now};
+    case 2:
+      return {now + static_cast<double>((h >> 8) % 8) * 0.125};
+    default:
+      return {now - 0.5, now + static_cast<double>((h >> 8) % 3) * 0.125};
+  }
+}
+
+TEST(EngineTest, InterleavedAtAndRunUntilMatchOracle) {
+  // Top-level at() calls (slotted, continuous and past times) interleave
+  // with run_until() at random horizons, some behind now(); callbacks
+  // schedule more.  The oracle is a set ordered by (t, id) with the
+  // engine's clamp rule, where ids are handed out in at() order -- the
+  // seq contract.
+  using Log = std::vector<std::pair<double, std::uint64_t>>;
+  Engine engine;
+  Log engine_log;
+  std::uint64_t engine_ids = 0;
+  std::function<void(double)> engine_at = [&](double t) {
+    const std::uint64_t id = engine_ids++;
+    engine.at(t, [&, id] {
+      engine_log.emplace_back(engine.now(), id);
+      for (const double f : follow_ups(id, engine.now())) engine_at(f);
+    });
+  };
+
+  std::set<std::pair<double, std::uint64_t>> queue;
+  Log oracle_log;
+  double oracle_now = 0.0;
+  std::uint64_t oracle_ids = 0;
+  std::uint64_t oracle_clamped = 0;
+  auto oracle_at = [&](double t) {
+    if (t < oracle_now) {
+      ++oracle_clamped;
+      t = oracle_now;
+    }
+    queue.emplace(t, oracle_ids++);
+  };
+  auto oracle_run_until = [&](double horizon) {
+    while (!queue.empty() && queue.begin()->first <= horizon) {
+      const auto [t, id] = *queue.begin();
+      queue.erase(queue.begin());
+      oracle_now = std::max(oracle_now, t);
+      oracle_log.emplace_back(oracle_now, id);
+      for (const double f : follow_ups(id, oracle_now)) oracle_at(f);
+    }
+    oracle_now = std::max(oracle_now, horizon);
+  };
+
+  for (std::uint64_t step = 0; step < 400; ++step) {
+    const std::uint64_t h = mix(step + 1000003);
+    const double now = engine.now();
+    ASSERT_EQ(now, oracle_now) << "step " << step;
+    if (h % 3 == 0) {
+      const double horizon = now + static_cast<double>((h >> 4) % 17) * 0.25 -
+                             (h % 5 == 0 ? 1.0 : 0.0);
+      engine.run_until(horizon);
+      oracle_run_until(horizon);
+    } else {
+      for (std::uint64_t k = 0; k < 1 + (h >> 4) % 6; ++k) {
+        const std::uint64_t g = mix(h + k);
+        double t = now + static_cast<double>(g % 16) * 0.125;  // slotted
+        if (g % 7 == 0) t = now + static_cast<double>(g >> 11) * 0x1.0p-53;
+        if (g % 11 == 0) t = now - 2.0;  // clamps to now
+        engine_at(t);
+        oracle_at(t);
+      }
+    }
+    ASSERT_EQ(engine.pending(), queue.size()) << "step " << step;
+    double next = 0.0;
+    ASSERT_EQ(engine.next_time(&next), !queue.empty());
+    if (!queue.empty()) {
+      ASSERT_EQ(next, queue.begin()->first);
+    }
+  }
+  engine.run_until(1e9);
+  oracle_run_until(1e9);
+  EXPECT_EQ(engine_log, oracle_log);
+  EXPECT_GT(oracle_log.size(), 2000u);
+  EXPECT_EQ(engine.clamped_count(), oracle_clamped);
+  EXPECT_GT(oracle_clamped, 0u);
+  EXPECT_EQ(engine.pending(), 0u);
+}
+
+TEST(EngineTest, EarlierAtAfterEmptyRunIsServedFirst) {
+  // A run_until() with nothing due must leave the queue intact, and
+  // events scheduled afterwards ahead of the waiting one are served
+  // before it.
+  Engine engine;
+  std::vector<int> order;
+  engine.at(1000.0, [&] { order.push_back(0); });
+  engine.run_until(1.0);
+  EXPECT_EQ(engine.pending(), 1u);
+  EXPECT_EQ(engine.events_executed(), 0u);
+  engine.at(10.0, [&] { order.push_back(1); });
+  engine.at(12.0, [&] { order.push_back(2); });
+  double next = 0.0;
+  ASSERT_TRUE(engine.next_time(&next));
+  EXPECT_EQ(next, 10.0);
+  engine.run_until(2000.0);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 0}));
 }
 
 }  // namespace

@@ -242,10 +242,10 @@ TEST(RunExperiment, DelayValidationIsLoud) {
 
 TEST(RunExperiment, SampleAtHorizonBoundaryFiresUnderBothEngines) {
   // The periodic sample scheduled exactly at t == horizon fires: the
-  // engine's run_until executes events with t <= horizon under both
-  // scheduler policies, so horizon == k*sample_dt (with both exact in
-  // binary floating point) yields exactly k samples.  Pinned so `samples`
-  // cannot drift across engine refactors.
+  // engine's run_until executes events with t <= horizon whichever
+  // accepted `engine` value is set, so horizon == k*sample_dt (with both
+  // exact in binary floating point) yields exactly k samples.  Pinned so
+  // `samples` cannot drift across engine refactors.
   for (const char* engine : {"calendar", "heap"}) {
     auto cfg = small_config();
     cfg.engine = engine;

@@ -10,8 +10,8 @@
 //     offered load with zero clamped events.
 //
 // Traffic-on trajectories are themselves deterministic (RNG-free pipeline,
-// fixed flow phases): byte-identical across engine policies and shard
-// counts, which the matrix tests here pin at the API level.
+// fixed flow phases): byte-identical run to run and across shard counts,
+// which the matrix tests here pin at the API level.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -39,7 +39,6 @@ using gcs::net::LinkDir;
 using gcs::net::LinkModel;
 using gcs::net::parse_traffic;
 using gcs::net::TrafficModel;
-using gcs::sim::EnginePolicy;
 
 // ---------------------------------------------------------------------------
 // parse_traffic grammar
@@ -205,15 +204,14 @@ struct Trace {
 
 // Runs a churn scenario (flows must survive edge add/remove/re-add) under
 // the given traffic spec.  shards == 0 is the classic engine.
-Trace run_traffic(const std::string& traffic, EnginePolicy policy,
-                  std::size_t shards, double horizon) {
+Trace run_traffic(const std::string& traffic, std::size_t shards,
+                  double horizon) {
   gcs::util::Rng scenario_rng(7);
   const gcs::net::Scenario scenario =
       gcs::net::make_churn_scenario(12, 6, 8.0, horizon, scenario_rng);
   const SyncParams p = test_params(scenario.n);
   SimOptions options;
   options.seed = 1234;
-  options.engine_policy = policy;
   options.shards = shards;
   NetworkSimulation sim(
       p, scenario.to_dynamic_graph(),
@@ -255,8 +253,8 @@ constexpr const char kSaturatedCbr[] =
     "cbr:bw=4000:rate=10:pkt=1000:queue=3000:mark=500";
 
 TEST(LinkEquivalence, OffMatchesIdleBitExactlyClassic) {
-  const Trace off = run_traffic("off", EnginePolicy::kCalendar, 0, 30.0);
-  const Trace idle = run_traffic("idle", EnginePolicy::kCalendar, 0, 30.0);
+  const Trace off = run_traffic("off", 0, 30.0);
+  const Trace idle = run_traffic("idle", 0, 30.0);
   ASSERT_FALSE(off.clocks.empty());
   EXPECT_GT(off.stats.messages_delivered, 0u);
   expect_same_trajectory_and_stats(off, idle, "classic off vs idle");
@@ -265,8 +263,8 @@ TEST(LinkEquivalence, OffMatchesIdleBitExactlyClassic) {
 }
 
 TEST(LinkEquivalence, OffMatchesIdleBitExactlySharded) {
-  const Trace off = run_traffic("off", EnginePolicy::kCalendar, 2, 30.0);
-  const Trace idle = run_traffic("idle", EnginePolicy::kCalendar, 2, 30.0);
+  const Trace off = run_traffic("off", 2, 30.0);
+  const Trace idle = run_traffic("idle", 2, 30.0);
   ASSERT_FALSE(off.clocks.empty());
   expect_same_trajectory_and_stats(off, idle, "sharded off vs idle");
 }
@@ -275,40 +273,37 @@ TEST(LinkEquivalence, SyncDelayRecordedEvenWithTrafficOff) {
   // With the pipeline off the latency pair reduces to the propagation
   // draw: still recorded (that identity is what keeps off == idle byte-
   // exact), and bounded by the delay model's [floor, bound].
-  const Trace off = run_traffic("off", EnginePolicy::kCalendar, 0, 30.0);
+  const Trace off = run_traffic("off", 0, 30.0);
   EXPECT_GT(off.stats.sync_delay_sum, 0.0);
   EXPECT_GE(off.stats.sync_delay_max, 0.25);
   EXPECT_LE(off.stats.sync_delay_max, 1.0);
 }
 
 TEST(TrafficDeterminism, ClassicMatrixIsByteIdentical) {
-  const Trace base = run_traffic(kSaturatedCbr, EnginePolicy::kHeap, 0, 30.0);
+  const Trace base = run_traffic(kSaturatedCbr, 0, 30.0);
   ASSERT_FALSE(base.clocks.empty());
   EXPECT_GT(base.stats.traffic_packets, 0u);
-  const Trace calendar =
-      run_traffic(kSaturatedCbr, EnginePolicy::kCalendar, 0, 30.0);
-  expect_same_trajectory_and_stats(base, calendar, "heap vs calendar");
+  const Trace again = run_traffic(kSaturatedCbr, 0, 30.0);
+  expect_same_trajectory_and_stats(base, again, "classic rerun");
 }
 
 TEST(TrafficDeterminism, ShardCountInvariantUnderLoad) {
-  const Trace base = run_traffic(kSaturatedCbr, EnginePolicy::kCalendar, 1, 30.0);
+  const Trace base = run_traffic(kSaturatedCbr, 1, 30.0);
   ASSERT_FALSE(base.clocks.empty());
   EXPECT_GT(base.stats.traffic_packets, 0u);
   for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
     const Trace got =
-        run_traffic(kSaturatedCbr, EnginePolicy::kCalendar, shards, 30.0);
+        run_traffic(kSaturatedCbr, shards, 30.0);
     expect_same_trajectory_and_stats(base, got,
                                      "shards " + std::to_string(shards));
     EXPECT_EQ(got.clamped, 0u) << shards;
   }
-  const Trace heap = run_traffic(kSaturatedCbr, EnginePolicy::kHeap, 4, 30.0);
-  expect_same_trajectory_and_stats(base, heap, "shards 4 heap");
 }
 
 TEST(TrafficContention, SaturatedLinkMovesEveryCounterAndStaysBounded) {
   for (const std::size_t shards : {std::size_t{0}, std::size_t{4}}) {
     const Trace loaded =
-        run_traffic(kSaturatedCbr, EnginePolicy::kCalendar, shards, 30.0);
+        run_traffic(kSaturatedCbr, shards, 30.0);
     const std::string what = "shards " + std::to_string(shards);
     EXPECT_GT(loaded.stats.traffic_packets, 0u) << what;
     EXPECT_GT(loaded.stats.traffic_dropped, 0u) << what;
@@ -325,7 +320,7 @@ TEST(TrafficContention, SaturatedLinkMovesEveryCounterAndStaysBounded) {
 
     // And the load is visible where the paper cares: mean sync latency
     // under saturation exceeds the unloaded mean.
-    const Trace off = run_traffic("off", EnginePolicy::kCalendar, shards, 30.0);
+    const Trace off = run_traffic("off", shards, 30.0);
     const double mean_loaded =
         loaded.stats.sync_delay_sum /
         static_cast<double>(loaded.stats.messages_sent);
@@ -337,7 +332,7 @@ TEST(TrafficContention, SaturatedLinkMovesEveryCounterAndStaysBounded) {
 
 TEST(TrafficContention, BulkFlowsBackpressureInsteadOfDropping) {
   const Trace bulk = run_traffic("bulk:bw=4000:bytes=6000:interval=5:queue=2000",
-                                 EnginePolicy::kCalendar, 0, 30.0);
+                                 0, 30.0);
   EXPECT_GT(bulk.stats.traffic_packets, 0u);
   // Bulk bursts are non-droppable by design: the bounded queue applies
   // only to droppable (cbr) packets.

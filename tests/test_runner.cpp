@@ -1,8 +1,8 @@
 // Unit tests for the campaign runner: the --jobs determinism guarantee
 // (in-process, on a small sweep; tests/run_jobs_determinism.cmake drives
 // the real binary on campaigns/churn.json), CSV quoting, filename
-// sanitization of hand-built labels, and the disjoint errored/failed
-// accounting.
+// sanitization of hand-built labels, the disjoint errored/failed
+// accounting, and --list naming a non-finite input.
 #include "cli/runner.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "cli/campaign.hpp"
@@ -375,6 +376,31 @@ TEST(Runner, JobsAboveCellCountIsSafe) {
   std::ostringstream log;
   EXPECT_EQ(cli::run_campaign(campaign, options, log), 0);
   EXPECT_TRUE(fs::exists(dir / "campaign.csv"));
+}
+
+TEST(Runner, ListNamesANonFiniteInputBeforeEchoing) {
+  // `gcs_run --list --B0=nan` used to fail inside json::dump with an
+  // anonymous "cannot serialize non-finite number".  Expansion now
+  // rejects each of the six finite-only keys by name, so --list never
+  // gets to echo the config.
+  for (const char* key : {"rho", "T", "D", "B0", "horizon", "sample_dt"}) {
+    for (const char* value : {"nan", "inf"}) {
+      try {
+        const cli::Campaign campaign =
+            cli::build_campaign(nullptr, {{"n", "4"}, {key, value}});
+        cli::RunnerOptions options;
+        options.list_only = true;
+        std::ostringstream log;
+        cli::run_campaign(campaign, options, log);
+        ADD_FAILURE() << "--" << key << "=" << value << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(std::string(key) +
+                                             " must be finite"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 }  // namespace

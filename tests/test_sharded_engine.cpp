@@ -1,6 +1,5 @@
 // ShardedEngine tests: the K-invariance contract (every observable is
-// byte-identical across shard counts, under both queue policies, with
-// shards == 1 -- the inline, threadless configuration -- as the
+// byte-identical across shard counts, with shards == 1 -- the inline, threadless configuration -- as the
 // reference), the globals-before-shards ordering rule, the lookahead
 // contract's loud failure, clamp/validation passthrough, and the
 // zero-shard one-queue mode.
@@ -19,7 +18,6 @@
 
 namespace {
 
-using gcs::sim::EnginePolicy;
 using gcs::sim::PostKey;
 using gcs::sim::ShardedEngine;
 using gcs::sim::Time;
@@ -37,10 +35,10 @@ struct PingRun {
   std::uint64_t shard_staged = 0;
 };
 
-PingRun run_pings(std::size_t n, std::size_t k, EnginePolicy policy) {
+PingRun run_pings(std::size_t n, std::size_t k) {
   const double kWindow = 0.5;
   const double kHorizon = 20.0;
-  ShardedEngine eng(k, kWindow, policy);
+  ShardedEngine eng(k, kWindow);
 
   std::vector<std::uint32_t> shard_of(n);
   for (std::size_t u = 0; u < n; ++u) {
@@ -88,29 +86,24 @@ PingRun run_pings(std::size_t n, std::size_t k, EnginePolicy policy) {
   return out;
 }
 
-TEST(ShardedEngine, TrajectoriesAreInvariantAcrossShardCountsAndPolicies) {
+TEST(ShardedEngine, TrajectoriesAreInvariantAcrossShardCounts) {
   const std::size_t n = 8;
-  const PingRun base = run_pings(n, 1, EnginePolicy::kCalendar);
+  const PingRun base = run_pings(n, 1);
   ASSERT_GT(base.events_executed, 0u);
   std::uint64_t logged = 0;
   for (const auto& log : base.logs) logged += log.size();
   ASSERT_GT(logged, 0u);
   ASSERT_FALSE(base.global_ticks.empty());
 
-  for (const EnginePolicy policy :
-       {EnginePolicy::kCalendar, EnginePolicy::kHeap}) {
-    for (const std::size_t k : {std::size_t{1}, std::size_t{2},
-                                std::size_t{3}, std::size_t{4}}) {
-      const PingRun got = run_pings(n, k, policy);
-      const std::string label =
-          "k=" + std::to_string(k) +
-          (policy == EnginePolicy::kHeap ? " heap" : " calendar");
-      EXPECT_EQ(base.logs, got.logs) << label;
-      EXPECT_EQ(base.global_ticks, got.global_ticks) << label;
-      EXPECT_EQ(base.events_executed, got.events_executed) << label;
-      EXPECT_EQ(base.shard_windows, got.shard_windows) << label;
-      EXPECT_EQ(base.shard_staged, got.shard_staged) << label;
-    }
+  for (const std::size_t k : {std::size_t{1}, std::size_t{2},
+                              std::size_t{3}, std::size_t{4}}) {
+    const PingRun got = run_pings(n, k);
+    const std::string label = "k=" + std::to_string(k);
+    EXPECT_EQ(base.logs, got.logs) << label;
+    EXPECT_EQ(base.global_ticks, got.global_ticks) << label;
+    EXPECT_EQ(base.events_executed, got.events_executed) << label;
+    EXPECT_EQ(base.shard_windows, got.shard_windows) << label;
+    EXPECT_EQ(base.shard_staged, got.shard_staged) << label;
   }
 }
 
@@ -170,39 +163,35 @@ TEST(ShardedEngine, ValidatesConstructionAndHorizon) {
 }
 
 TEST(ShardedEngine, ZeroShardsIsOneQueue) {
-  for (const EnginePolicy policy :
-       {EnginePolicy::kCalendar, EnginePolicy::kHeap}) {
-    const bool heap = policy == EnginePolicy::kHeap;
-    ShardedEngine eng(0, /*window=*/0.0, policy);
-    EXPECT_EQ(eng.global_ctx(), 0u);
-    // One queue in call order: no globals-first rule, no staging.
-    std::vector<std::string> order;
-    eng.at(0, 1.0, [&] { order.push_back("at"); });
-    eng.post(0, 0, 1.0, PostKey{0.0, 0, 0}, [&] { order.push_back("post"); });
-    eng.at_global(1.0, [&] { order.push_back("global"); });
-    // No window either: a post may land arbitrarily soon after its send.
-    eng.at(0, 2.0, [&] {
-      EXPECT_DOUBLE_EQ(eng.shard_now(0), 2.0);
-      eng.post(0, 0, eng.shard_now(0) + 1e-3, PostKey{2.0, 0, 1},
-               [&] { order.push_back("fast"); });
-    });
-    EXPECT_THROW(eng.run_until(std::numeric_limits<double>::quiet_NaN()),
-                 std::invalid_argument);
-    eng.run_until(3.0);
-    EXPECT_EQ(order,
-              (std::vector<std::string>{"at", "post", "global", "fast"}));
-    EXPECT_DOUBLE_EQ(eng.now(), 3.0);
-    EXPECT_DOUBLE_EQ(eng.shard_now(0), 3.0);
-    EXPECT_EQ(eng.events_executed(), 5u);
-    EXPECT_EQ(eng.pending(), 0u);
-    // stats() is the one queue's own, policy counters included.
-    const gcs::sim::EngineStats stats = eng.stats();
-    EXPECT_EQ(stats.max_pending, 4u);
-    EXPECT_EQ(stats.shard_windows, 0u);
-    EXPECT_EQ(stats.shard_staged_events, 0u);
-    EXPECT_EQ(stats.heap_ops > 0, heap);
-    EXPECT_EQ(stats.calendar_bucket_scans > 0, !heap);
-  }
+  ShardedEngine eng(0, /*window=*/0.0);
+  EXPECT_EQ(eng.global_ctx(), 0u);
+  // One queue in call order: no globals-first rule, no staging.
+  std::vector<std::string> order;
+  eng.at(0, 1.0, [&] { order.push_back("at"); });
+  eng.post(0, 0, 1.0, PostKey{0.0, 0, 0}, [&] { order.push_back("post"); });
+  eng.at_global(1.0, [&] { order.push_back("global"); });
+  // No window either: a post may land arbitrarily soon after its send.
+  eng.at(0, 2.0, [&] {
+    EXPECT_DOUBLE_EQ(eng.shard_now(0), 2.0);
+    eng.post(0, 0, eng.shard_now(0) + 1e-3, PostKey{2.0, 0, 1},
+             [&] { order.push_back("fast"); });
+  });
+  EXPECT_THROW(eng.run_until(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  eng.run_until(3.0);
+  EXPECT_EQ(order, (std::vector<std::string>{"at", "post", "global", "fast"}));
+  EXPECT_DOUBLE_EQ(eng.now(), 3.0);
+  EXPECT_DOUBLE_EQ(eng.shard_now(0), 3.0);
+  EXPECT_EQ(eng.events_executed(), 5u);
+  EXPECT_EQ(eng.pending(), 0u);
+  // stats() is the one queue's own, heap_ops included.
+  const gcs::sim::EngineStats stats = eng.stats();
+  EXPECT_EQ(stats.max_pending, 4u);
+  EXPECT_EQ(stats.shard_windows, 0u);
+  EXPECT_EQ(stats.shard_staged_events, 0u);
+  EXPECT_EQ(stats.heap_ops, 10u);  // five pushes, five pops
+  EXPECT_EQ(stats.calendar_bucket_scans, 0u);
+  EXPECT_EQ(stats.calendar_resizes, 0u);
 }
 
 TEST(ShardedEngine, ShardCallbackExceptionsRethrowOnTheCaller) {
@@ -216,7 +205,7 @@ TEST(ShardedEngine, ShardCallbackExceptionsRethrowOnTheCaller) {
 }
 
 TEST(ShardedEngine, StatsReportShardCountersAndZeroPolicyCounters) {
-  ShardedEngine eng(2, /*window=*/1.0, EnginePolicy::kCalendar);
+  ShardedEngine eng(2, /*window=*/1.0);
   eng.at(0, 0.25, [&] {
     eng.post(0, 1, 1.5, PostKey{0.25, 0, 0}, [] {});
   });
@@ -225,8 +214,9 @@ TEST(ShardedEngine, StatsReportShardCountersAndZeroPolicyCounters) {
   EXPECT_GT(stats.shard_windows, 0u);
   EXPECT_EQ(stats.shard_staged_events, 1u);
   EXPECT_GT(stats.max_pending, 0u);
-  // Per-policy scheduler counters vary with K, so sharded stats report
-  // them as zero instead of leaking K-variant bytes into results.
+  // Queue counters vary with K, so sharded stats report them as zero
+  // instead of leaking K-variant bytes into results; the calendar
+  // counters are always zero.
   EXPECT_EQ(stats.heap_ops, 0u);
   EXPECT_EQ(stats.calendar_bucket_scans, 0u);
   EXPECT_EQ(stats.calendar_resizes, 0u);

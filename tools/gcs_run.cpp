@@ -49,7 +49,8 @@ options:
 
 sweepable keys (comma lists and integer ranges a..b become axes):
   n, topology (path|ring|star|complete), drift (spread|walk|two-camp),
-  delay (uniform[:lo[:hi]]|constant[:x]), engine (calendar|heap),
+  delay (uniform[:lo[:hi]]|constant[:x]), engine (calendar|heap: both
+  select the one event queue; kept for old campaign files),
   delivery (batched|per-receiver), shards (0 = classic single-queue
   engine; >= 1 runs the sharded conservative-parallel engine, which
   needs a delay with a positive floor, e.g. constant:0.5 or
