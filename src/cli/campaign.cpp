@@ -44,15 +44,6 @@ const std::set<std::string>& knobs_for(const std::string& kind) {
   fail("unknown scenario kind '" + kind + "'");
 }
 
-// splitmix64: decorrelates the scenario generator's random stream from the
-// delay/drift streams that consume the raw cell seed.
-std::uint64_t mix_seed(std::uint64_t seed) {
-  std::uint64_t z = seed + 0x9E3779B97F4A7C15ULL;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
 }  // namespace
 
 json::Value ScenarioSpec::to_json() const {
@@ -190,7 +181,9 @@ ScenarioSpec ScenarioSpec::from_flag(const std::string& spec) {
 
 net::Scenario ScenarioSpec::build(std::size_t n, double horizon,
                                   std::uint64_t seed) const {
-  util::Rng rng(mix_seed(seed));
+  // Stream 0 of the cell seed: decorrelated from the delay and drift
+  // streams, which consume the raw seed.
+  util::Rng rng(util::mix_seed(seed, 0));
   net::Scenario scenario;
   if (kind == "churn") {
     scenario = net::make_churn_scenario(n, volatile_edges, lifetime, horizon,
@@ -478,9 +471,9 @@ Campaign build_campaign(const json::Value* doc,
     std::string number = std::to_string(cell_no);
     number.insert(0, width - std::min(width, number.size()), '0');
     cell.label = number + suffix;
-    // Named here, before --list echoes the config as json (which cannot
-    // hold a NaN or Inf) or a runner starts the cell.
-    harness::require_finite_inputs(cell.config, "campaign: cell " + cell.label);
+    // A bad input is named here, before --list echoes the config as json
+    // (which cannot hold a NaN or Inf) or a runner starts the cell.
+    harness::check_config(cell.config, "campaign: cell " + cell.label);
     cell.config.name = campaign.name + "/" + cell.label;
     campaign.cells.push_back(std::move(cell));
 

@@ -1,120 +1,91 @@
 #include "clk/clock.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <random>
 #include <stdexcept>
 #include <utility>
 
+#include "util/rng.hpp"
+
 namespace gcs::clk {
 
-namespace {
-
-// Counts the raw outputs a distribution pulls from the engine, so the
-// next regeneration of a walk can skip exactly that many.
-struct CountingEngine {
-  using result_type = std::mt19937_64::result_type;
-  static constexpr result_type min() { return std::mt19937_64::min(); }
-  static constexpr result_type max() { return std::mt19937_64::max(); }
-  result_type operator()() {
-    ++count;
-    return gen();
-  }
-  std::mt19937_64& gen;
-  std::uint64_t& count;
-};
-
-}  // namespace
-
-RateSchedule::RateSchedule(double rate) {
-  if (rate <= 0.0) throw std::invalid_argument("clock rate must be positive");
-  segments_.push_back(Segment{0.0, 0.0, rate});
+RateSchedule::RateSchedule(double rate) : rate0_(rate) {
+  if (!(rate > 0.0)) throw std::invalid_argument("clock rate must be positive");
+  window_[0] = Segment{0.0, rate};
 }
 
 RateSchedule RateSchedule::random_walk(double rho, double step_dt, double sigma,
                                        std::uint64_t seed, double start_rate) {
-  if (rho < 0.0 || rho >= 1.0) {
+  if (!(rho >= 0.0 && rho < 1.0)) {
     throw std::invalid_argument("random_walk: rho must be in [0, 1)");
   }
-  if (step_dt <= 0.0) {
+  if (!(step_dt > 0.0)) {
     throw std::invalid_argument("random_walk: step_dt must be positive");
   }
   RateSchedule s(std::clamp(start_rate, 1.0 - rho, 1.0 + rho));
-  s.walk_ = true;
-  s.lo_ = 1.0 - rho;
-  s.hi_ = 1.0 + rho;
+  s.seed_ = seed;
+  s.rho_ = rho;
   s.step_dt_ = step_dt;
   s.sigma_ = sigma;
-  s.seed_ = seed;
   return s;
 }
 
-void RateSchedule::append_block() const {
-  // One engine per thread, re-positioned for each block: sharded runs
-  // extend their nodes' walks on shard threads.
-  thread_local std::mt19937_64 gen;
-  gen.seed(seed_);
-  gen.discard(draws_);
-  CountingEngine counted{gen, draws_};
-  // Blocks as long as the walk so far keep the total discards linear in
-  // the number of segments.
-  const std::size_t block = std::max<std::size_t>(4, segments_.size());
-  segments_.reserve(segments_.size() + block);
-  for (std::size_t i = 0; i < block; ++i) {
-    const Segment last = segments_.back();
-    // A fresh distribution per step: no cached second variate carries over.
-    std::normal_distribution<double> step(0.0, sigma_);
-    const double next_rate = std::clamp(last.rate + step(counted), lo_, hi_);
-    segments_.push_back(Segment{last.t0 + step_dt_,
-                                last.hw0 + last.rate * step_dt_, next_rate});
-  }
+void RateSchedule::step() const {
+  const Segment& last = slot(newest_);
+  const Segment next{
+      last.hw0 + last.rate * step_dt_,
+      std::clamp(last.rate + sigma_ * util::normal_at(seed_, newest_ + 1),
+                 1.0 - rho_, 1.0 + rho_)};
+  window_[++newest_ % kWindow] = next;
 }
 
-const RateSchedule::Segment& RateSchedule::segment_at_time(double t) const {
-  if (walk_) {
-    while (segments_.back().t0 + step_dt_ <= t) append_block();
-  }
-  return locate(t, &Segment::t0);
-}
-
-const RateSchedule::Segment& RateSchedule::segment_at_value(double v) const {
-  if (walk_) {
-    while (segments_.back().hw0 + segments_.back().rate * step_dt_ <= v) {
-      append_block();
+template <class Start>
+std::uint64_t RateSchedule::locate(double x, Start start) const {
+  if (is_constant()) return 0;
+  // Back through the window to the last segment starting at or before x;
+  // x older than the window's oldest segment replays from segment 0.
+  std::uint64_t k = newest_;
+  while (k > 0 && start(k) > x) {
+    if (k + kWindow == newest_ + 1) {
+      newest_ = k = 0;
+      window_[0] = Segment{0.0, rate0_};
+      break;
     }
+    --k;
   }
-  return locate(v, &Segment::hw0);
+  // Forward until the next segment starts after x.
+  for (;; ++k) {
+    if (k == newest_) step();
+    if (start(k + 1) > x) return k;
+  }
 }
 
-const RateSchedule::Segment& RateSchedule::locate(double x,
-                                                  double Segment::*key) const {
-  const std::size_t n = segments_.size();
-  const auto covers = [&](std::size_t i) {
-    return segments_[i].*key <= x && (i + 1 == n || x < segments_[i + 1].*key);
-  };
-  if (covers(cursor_)) return segments_[cursor_];
-  if (cursor_ + 1 < n && covers(cursor_ + 1)) return segments_[++cursor_];
-  auto it = std::upper_bound(
-      segments_.begin(), segments_.end(), x,
-      [key](double v, const Segment& s) { return v < s.*key; });
-  assert(it != segments_.begin());
-  cursor_ = static_cast<std::size_t>(it - segments_.begin()) - 1;
-  return segments_[cursor_];
+std::uint64_t RateSchedule::index_at_time(double t) const {
+  return locate(t, [this](std::uint64_t k) {
+    return static_cast<double>(k) * step_dt_;
+  });
 }
 
-double RateSchedule::rate_at(double t) const { return segment_at_time(t).rate; }
+std::uint64_t RateSchedule::index_at_value(double v) const {
+  return locate(v, [this](std::uint64_t k) { return slot(k).hw0; });
+}
+
+double RateSchedule::rate_at(double t) const {
+  return slot(index_at_time(t)).rate;
+}
 
 HardwareClock::HardwareClock(RateSchedule schedule)
     : schedule_(std::move(schedule)) {}
 
 double HardwareClock::value_at(double t) const {
-  const auto& s = schedule_.segment_at_time(t);
-  return s.hw0 + s.rate * (t - s.t0);
+  const std::uint64_t k = schedule_.index_at_time(t);
+  const auto& s = schedule_.slot(k);
+  return s.hw0 + s.rate * (t - static_cast<double>(k) * schedule_.step_dt_);
 }
 
 double HardwareClock::time_when(double value) const {
-  const auto& s = schedule_.segment_at_value(value);
-  return s.t0 + (value - s.hw0) / s.rate;
+  const std::uint64_t k = schedule_.index_at_value(value);
+  const auto& s = schedule_.slot(k);
+  return static_cast<double>(k) * schedule_.step_dt_ + (value - s.hw0) / s.rate;
 }
 
 }  // namespace gcs::clk

@@ -4,24 +4,26 @@
 // stays within [1 - rho, 1 + rho] of real time.  Nodes never see real
 // time; every timeout and edge age in the algorithm layer is measured on
 // these clocks.  A RateSchedule is a piecewise-constant rate trajectory,
-// either a single constant rate or a seeded, lazily extended random walk
-// clamped to the drift bounds.  HardwareClock integrates a schedule and
-// answers both directions: value_at(real time) and time_when(clock value)
-// (the latter is what the simulator uses to schedule "every delta_h of
-// hardware time" broadcasts as real-time events).
+// either a single constant rate or a seeded random walk clamped to the
+// drift bounds.  HardwareClock integrates a schedule and answers both
+// directions: value_at(real time) and time_when(clock value) (the latter
+// is what the simulator uses to schedule "every delta_h of hardware time"
+// broadcasts as real-time events).
 //
-// A walk holds no random engine.  It keeps its seed and the number of raw
-// engine outputs its segments have consumed; extending it re-seeds a
-// per-thread engine, skips those outputs, and appends a block of segments
-// as long as the walk so far.  The draws are the ones a single sequential
-// engine would make, so the trajectory is a pure function of the seed,
-// and the per-clock state is a few words plus the segments.
+// A walk is a pure function of (seed, step): segment k starts at real
+// time k * step_dt, and its rate is segment k-1's plus sigma times
+// util::normal_at(seed, k), clamped.  Only the accumulated clock value
+// needs the segments before k, so a walk keeps just its newest kWindow
+// segments in the object.  Queries step the window forward; one older
+// than the window replays the walk from segment 0, so every query order
+// gets the same bits.  The simulator's pattern (a broadcast's time_when
+// delta_h ahead, value_at at the current instant) never replays while
+// delta_h is under about 2 * step_dt.  A schedule makes no heap
+// allocation.
 #ifndef GCS_CLK_CLOCK_HPP
 #define GCS_CLK_CLOCK_HPP
 
-#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace gcs::clk {
 
@@ -33,47 +35,42 @@ class RateSchedule {
   RateSchedule(double rate = 1.0);  // NOLINT(runtime/explicit) -- benches
                                     // emplace_back(double) into vectors.
 
-  // Random-walk drift: the rate starts at `start_rate`, and every
-  // `step_dt` seconds of real time takes a Gaussian step with deviation
-  // `sigma`, clamped to [1 - rho, 1 + rho].  Deterministic per seed: step
-  // k is the k-th draw of a fresh std::normal_distribution from one
-  // std::mt19937_64(seed).  Segments are generated lazily as the
-  // simulation queries further into the future.
+  // Random-walk drift: the rate starts at `start_rate` clamped to
+  // [1 - rho, 1 + rho], and every `step_dt` seconds of real time takes a
+  // Gaussian step with deviation `sigma`, clamped to the same bounds.
   static RateSchedule random_walk(double rho, double step_dt, double sigma,
                                   std::uint64_t seed, double start_rate = 1.0);
 
   double rate_at(double t) const;
 
-  bool is_constant() const { return !walk_; }
+  bool is_constant() const { return step_dt_ == 0.0; }
 
  private:
   friend class HardwareClock;
 
+  static constexpr std::uint64_t kWindow = 4;
+
   struct Segment {
-    double t0;    // real-time start of the segment
-    double hw0;   // accumulated clock value at t0
-    double rate;  // clock rate during [t0, next.t0)
+    double hw0;   // accumulated clock value at the start, k * step_dt
+    double rate;  // clock rate until segment k + 1 starts
   };
 
-  // The segment covering real time `t` / clock value `v`, extending the
-  // walk as needed.
-  const Segment& segment_at_time(double t) const;
-  const Segment& segment_at_value(double v) const;
-  // The last segment whose `key` is <= x: the cursor's segment or the one
-  // after it in O(1), otherwise a binary search.  Moves the cursor there.
-  const Segment& locate(double x, double Segment::*key) const;
-  // Regenerates the walk's engine position and appends the next block.
-  void append_block() const;
+  // The index of the segment covering real time `t` / clock value `v`,
+  // left in the window (together with its successor).
+  std::uint64_t index_at_time(double t) const;
+  std::uint64_t index_at_value(double v) const;
+  template <class Start>
+  std::uint64_t locate(double x, Start start) const;
+  const Segment& slot(std::uint64_t k) const { return window_[k % kWindow]; }
+  void step() const;  // appends segment newest_ + 1
 
-  mutable std::vector<Segment> segments_;
-  mutable std::size_t cursor_ = 0;
-  mutable std::uint64_t draws_ = 0;  // raw engine outputs consumed so far
+  mutable Segment window_[kWindow] = {};  // segment k lives in slot k % kWindow
+  mutable std::uint64_t newest_ = 0;
   std::uint64_t seed_ = 0;
-  double lo_ = 1.0;
-  double hi_ = 1.0;
-  double step_dt_ = 1.0;
+  double rate0_ = 1.0;
+  double rho_ = 0.0;
+  double step_dt_ = 0.0;  // 0: a constant schedule, segment 0 forever
   double sigma_ = 0.0;
-  bool walk_ = false;
 };
 
 // A hardware clock starting at value 0 at real time 0, advancing at the

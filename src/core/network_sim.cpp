@@ -11,20 +11,6 @@
 
 namespace gcs::core {
 
-namespace {
-
-// splitmix64-style mix for the per-node delay RNG streams (sharded
-// mode): same recipe the campaign layer uses for per-cell seeds, so
-// stream quality matches what the repo already relies on.
-std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t node) {
-  std::uint64_t z = seed + 0x9E3779B97F4A7C15ULL * (node + 1);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
 // The DeliverySink: stats, traces, and conformance checks land at
 // exactly the points the old per-node delivery path emitted them, so
 // the store refactor cannot move a byte in any artifact.
@@ -62,8 +48,8 @@ struct NetworkSimulation::Sink : DeliverySink {
       // through the harness sampler at barriers instead, so the per-
       // delivery check is skipped for EVERY shard count (keeping the
       // counters K-invariant).  Monotonicity is target-local and stays on.
-      if (!sim->sharded_) sim->check_edge_conformance(d);
       const double logical = sim->store_->logical_clock(d.to, d.hw_now);
+      if (!sim->sharded_) sim->check_edge_conformance(d, logical);
       if (logical < sim->last_logical_[d.to] - sim->options_.conformance_slack) {
         ++c.monotonicity_failures;
       }
@@ -152,7 +138,7 @@ NetworkSimulation::NetworkSimulation(const SyncParams& params,
     }
     node_rngs_.reserve(n);
     for (std::size_t u = 0; u < n; ++u) {
-      node_rngs_.emplace_back(mix_seed(options_.seed, u));
+      node_rngs_.emplace_back(util::mix_seed(options_.seed, u));
     }
     node_msg_index_.assign(n, 0);
     contexts_.assign(k + 1, Context{});
@@ -593,7 +579,8 @@ const RunStats& NetworkSimulation::stats() const {
   return stats_;
 }
 
-void NetworkSimulation::check_edge_conformance(const StoreDelivery& d) {
+void NetworkSimulation::check_edge_conformance(const StoreDelivery& d,
+                                               double to_logical) {
   const net::Edge e(d.from, d.to);
   ++stats_.conformance_checks;
   // The node-side B runs on hardware ages, which an outside observer
@@ -603,7 +590,8 @@ void NetworkSimulation::check_edge_conformance(const StoreDelivery& d) {
   const double age_hw =
       (1.0 - params_.rho) * (now() - adj_.up_time(d.slot));
   const double allowed = bfunc_(age_hw) + options_.conformance_slack;
-  const double observed = std::abs(skew(e.u, e.v));
+  // |L_from - L_to| is |skew(e.u, e.v)| bit for bit, in either order.
+  const double observed = std::abs(logical_clock(d.from) - to_logical);
   const bool violated = observed > allowed;
   if (violated) {
     ++stats_.conformance_envelope_failures;

@@ -277,7 +277,9 @@ class NetworkSimulation {
   // drops at their original positions -- byte-order-identical to
   // per-record delivery.
   void deliver(const Delivery* batch, std::size_t count);
-  void check_edge_conformance(const StoreDelivery& d);
+  // Audits d's edge against the B envelope; `to_logical` is the
+  // receiver's logical clock, already read for the monotonicity check.
+  void check_edge_conformance(const StoreDelivery& d, double to_logical);
   // Background-flow machinery (TrafficModel::has_flows()): start_flows
   // schedules the first emission for both directions of a fresh edge
   // (constructor or barrier context); flow_emit offers one packet/burst

@@ -18,42 +18,57 @@ namespace gcs::harness {
 
 namespace {
 
+// The name dispatch of each string key.  run_experiment builds through
+// these, and check_config calls them without building anything.
+using MakeTopology = net::Topology (*)(std::size_t n);
+MakeTopology topology_maker(const std::string& topology) {
+  if (topology == "path") return net::make_path;
+  if (topology == "ring") return net::make_ring;
+  if (topology == "star") {
+    return [](std::size_t n) { return net::make_star(n); };
+  }
+  if (topology == "complete") return net::make_complete;
+  throw std::invalid_argument("unknown topology '" + topology + "'");
+}
+
+using MakeSchedule = clk::RateSchedule (*)(const ExperimentConfig& cfg,
+                                           std::size_t i);
+MakeSchedule drift_maker(const std::string& drift) {
+  if (drift == "spread") {
+    return [](const ExperimentConfig& cfg, std::size_t i) {
+      const std::size_t n = cfg.params.n;
+      const double rho = cfg.params.rho;
+      const double f = n > 1 ? static_cast<double>(i) / (n - 1) : 0.5;
+      return clk::RateSchedule(1.0 - rho + 2.0 * rho * f);
+    };
+  }
+  if (drift == "walk") {
+    return [](const ExperimentConfig& cfg, std::size_t i) {
+      return clk::RateSchedule::random_walk(
+          cfg.params.rho, /*step_dt=*/1.0, /*sigma=*/cfg.params.rho / 4.0,
+          /*seed=*/cfg.seed * 7919 + i);
+    };
+  }
+  if (drift == "two-camp") {
+    return [](const ExperimentConfig& cfg, std::size_t i) {
+      const double rho = cfg.params.rho;
+      return clk::RateSchedule(i < cfg.params.n / 2 ? 1.0 + rho : 1.0 - rho);
+    };
+  }
+  throw std::invalid_argument("unknown drift '" + drift + "'");
+}
+
 net::Scenario build_scenario(const ExperimentConfig& cfg) {
   if (cfg.scenario) return *cfg.scenario;
-  const std::size_t n = cfg.params.n;
-  if (cfg.topology == "path") return net::make_static_scenario(net::make_path(n));
-  if (cfg.topology == "ring") return net::make_static_scenario(net::make_ring(n));
-  if (cfg.topology == "star") return net::make_static_scenario(net::make_star(n));
-  if (cfg.topology == "complete") {
-    return net::make_static_scenario(net::make_complete(n));
-  }
-  throw std::invalid_argument("run_experiment: unknown topology '" +
-                              cfg.topology + "'");
+  return net::make_static_scenario(topology_maker(cfg.topology)(cfg.params.n));
 }
 
 std::vector<clk::RateSchedule> build_schedules(const ExperimentConfig& cfg) {
-  const std::size_t n = cfg.params.n;
-  const double rho = cfg.params.rho;
+  const MakeSchedule make = drift_maker(cfg.drift);
   std::vector<clk::RateSchedule> schedules;
-  schedules.reserve(n);
-  if (cfg.drift == "spread") {
-    for (std::size_t i = 0; i < n; ++i) {
-      const double f = n > 1 ? static_cast<double>(i) / (n - 1) : 0.5;
-      schedules.emplace_back(1.0 - rho + 2.0 * rho * f);
-    }
-  } else if (cfg.drift == "walk") {
-    for (std::size_t i = 0; i < n; ++i) {
-      schedules.push_back(clk::RateSchedule::random_walk(
-          rho, /*step_dt=*/1.0, /*sigma=*/rho / 4.0,
-          /*seed=*/cfg.seed * 7919 + i));
-    }
-  } else if (cfg.drift == "two-camp") {
-    for (std::size_t i = 0; i < n; ++i) {
-      schedules.emplace_back(i < n / 2 ? 1.0 + rho : 1.0 - rho);
-    }
-  } else {
-    throw std::invalid_argument("run_experiment: unknown drift '" + cfg.drift +
-                                "'");
+  schedules.reserve(cfg.params.n);
+  for (std::size_t i = 0; i < cfg.params.n; ++i) {
+    schedules.push_back(make(cfg, i));
   }
   return schedules;
 }
@@ -97,43 +112,55 @@ net::LinkModel build_link(const ExperimentConfig& cfg) {
   try {
     delay = build_delay(cfg);
   } catch (const std::invalid_argument& e) {
-    throw std::invalid_argument("run_experiment: delay '" + cfg.delay +
-                                "': " + e.what());
+    throw std::invalid_argument("delay '" + cfg.delay + "': " + e.what());
   }
-  try {
-    return net::LinkModel(std::move(delay), net::parse_traffic(cfg.traffic));
-  } catch (const std::invalid_argument& e) {
-    throw std::invalid_argument(std::string("run_experiment: ") + e.what());
-  }
+  return net::LinkModel(std::move(delay), net::parse_traffic(cfg.traffic));
 }
 
 void check_engine(const std::string& engine) {
   if (engine == "calendar" || engine == "heap") return;
-  throw std::invalid_argument("run_experiment: unknown engine '" + engine +
-                              "'");
+  throw std::invalid_argument("unknown engine '" + engine + "'");
 }
 
 bool parse_delivery(const std::string& delivery) {
   if (delivery == "batched") return true;
   if (delivery == "per-receiver") return false;
-  throw std::invalid_argument("run_experiment: unknown delivery '" + delivery +
-                              "'");
+  throw std::invalid_argument("unknown delivery '" + delivery + "'");
+}
+
+// "columns" drives DcsaColumns directly; "adapter" runs the identical
+// protocol through per-node DcsaNode objects (the reference path the
+// store-equivalence matrix byte-compares against).
+bool adapter_store(const std::string& store) {
+  if (store == "adapter") return true;
+  if (store == "columns") return false;
+  throw std::invalid_argument("unknown store '" + store +
+                              "' (expected \"columns\" or \"adapter\")");
 }
 
 }  // namespace
 
-void require_finite_inputs(const ExperimentConfig& cfg,
-                           const std::string& where) {
+void check_config(const ExperimentConfig& cfg, const std::string& where) {
   const core::SyncParams& p = cfg.params;
   const std::pair<const char*, double> finite[] = {
       {"rho", p.rho}, {"T", p.T}, {"D", p.D}, {"B0", p.B0},
       {"horizon", cfg.horizon}, {"sample_dt", cfg.sample_dt}};
-  for (const auto& [key, value] : finite) {
-    if (!std::isfinite(value)) {
-      throw std::invalid_argument(where + ": " + key +
-                                  " must be finite, got " +
-                                  std::to_string(value));
+  try {
+    for (const auto& [key, value] : finite) {
+      if (!std::isfinite(value)) {
+        throw std::invalid_argument(std::string(key) + " must be finite, got " +
+                                    std::to_string(value));
+      }
     }
+    if (!cfg.scenario) topology_maker(cfg.topology);
+    drift_maker(cfg.drift);
+    build_link(cfg);
+    check_engine(cfg.engine);
+    parse_delivery(cfg.delivery);
+    adapter_store(cfg.store);
+    core::Variant::parse(cfg.variant);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(where + ": " + e.what());
   }
 }
 
@@ -147,7 +174,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
         "run_experiment: n = " + std::to_string(p.n) +
         " exceeds the 32-bit node-id limit 4294967295");
   }
-  require_finite_inputs(cfg, "run_experiment");
+  check_config(cfg, "run_experiment");
   if (cfg.horizon <= 0.0 || cfg.sample_dt <= 0.0) {
     throw std::invalid_argument("run_experiment: bad horizon/sample_dt");
   }
@@ -160,22 +187,15 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
 
   core::SimOptions options = cfg.options;
   options.seed = cfg.seed;
-  check_engine(cfg.engine);
   options.batched_delivery = parse_delivery(cfg.delivery);
   options.recorder = recorder;
   options.shards = static_cast<std::size_t>(cfg.shards);
-  // "columns" drives DcsaColumns directly; "adapter" runs the identical
-  // protocol through per-node DcsaNode objects (the reference path the
-  // store-equivalence matrix byte-compares against).
   const core::Variant variant = core::Variant::parse(cfg.variant);
   core::NetworkSimulation::NodeFactory factory;
-  if (cfg.store == "adapter") {
+  if (adapter_store(cfg.store)) {
     factory = [p, variant](core::NodeId) {
       return std::make_unique<core::DcsaNode>(p, variant);
     };
-  } else if (cfg.store != "columns") {
-    throw std::invalid_argument("run_experiment: unknown store '" + cfg.store +
-                                "' (expected \"columns\" or \"adapter\")");
   }
   core::NetworkSimulation sim(p, scenario.to_dynamic_graph(), build_link(cfg),
                               build_schedules(cfg), std::move(factory),

@@ -129,14 +129,14 @@ struct ExperimentResult {
   obs::SeriesSummary series;
 };
 
-// Throws std::invalid_argument naming the first of rho, T, D, B0,
-// horizon and sample_dt that is not finite, as "<where>: <key> must be
-// finite, got <value>".  A NaN slips past every ordered comparison (and
-// an Inf past most), so run_experiment and campaign expansion both call
-// this before a non-finite input can hang a run or surface as an
-// anonymous engine or json error.
-void require_finite_inputs(const ExperimentConfig& config,
-                           const std::string& where);
+// Throws std::invalid_argument as "<where>: <reason>" naming the first
+// bad input: one of rho, T, D, B0, horizon and sample_dt that is not
+// finite (a NaN slips past every ordered comparison, an Inf past most),
+// or a topology, drift, delay, traffic, engine, delivery, store or
+// variant that run_experiment's own dispatch rejects.  Builds nothing
+// per node.  run_experiment and campaign expansion both call it, so a
+// bad key fails before --list echoes it or a cell starts.
+void check_config(const ExperimentConfig& config, const std::string& where);
 
 // Runs the experiment.  `recorder`, when non-null, passively observes
 // the run: it receives one obs::SeriesSample per sample_dt tick and

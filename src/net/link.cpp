@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "util/number.hpp"
+#include "util/rng.hpp"
 
 namespace gcs::net {
 
@@ -158,13 +159,9 @@ LinkDecision link_offer(const TrafficModel& model, LinkDir& dir, double t,
 }
 
 double flow_phase(std::uint64_t key) {
-  // splitmix64 finalizer: a stable, well-mixed function of the key; the
-  // modulus keeps the fraction strictly inside (0, 1).
-  std::uint64_t z = key + 0x9E3779B97F4A7C15ULL;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  z ^= z >> 31;
-  return static_cast<double>(z % 997u + 1u) / 999.0;
+  // A stable, well-mixed function of the key; the modulus keeps the
+  // fraction strictly inside (0, 1).
+  return static_cast<double>(util::mix_seed(key, 0) % 997u + 1u) / 999.0;
 }
 
 }  // namespace gcs::net

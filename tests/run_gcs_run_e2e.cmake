@@ -90,5 +90,17 @@ if(NOT rc EQUAL 2 OR NOT stderr MATCHES "B0 must be finite" OR
                       "stdout:\n${stdout}\nstderr:\n${stderr}")
 endif()
 
+# So is an unknown name: --list used to echo it and exit 0.
+execute_process(
+  COMMAND "${GCS_RUN}" --list --n=4 --drift=foo
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE stdout
+  ERROR_VARIABLE stderr)
+if(NOT rc EQUAL 2 OR NOT stderr MATCHES "unknown drift 'foo'" OR
+   NOT stdout STREQUAL "")
+  message(FATAL_ERROR "--list --drift=foo: want exit 2 naming drift, got "
+                      "${rc}\nstdout:\n${stdout}\nstderr:\n${stderr}")
+endif()
+
 message(STATUS "gcs_run e2e: 2-cell sweep ok, CSV schema intact, "
-               "non-finite --list input named")
+               "non-finite and unknown --list inputs named")

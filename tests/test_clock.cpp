@@ -1,8 +1,8 @@
-// Hardware clocks: the random walk is regenerated from (seed, draws
-// consumed) in blocks, so these tests hold it, bit for bit, to a walk
-// built the plain way -- one sequential std::mt19937_64 and a fresh
-// std::normal_distribution per step -- under every query order the
-// segment cursor can see.
+// Hardware clocks: a random walk keeps only its newest few segments and
+// replays from segment 0 when a query falls behind them, so these tests
+// hold it, bit for bit, to a walk built the plain way -- one eager loop
+// of the step function over util::normal_at -- under every query order
+// the window can see, the simulator's included.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "clk/clock.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -34,19 +35,19 @@ struct RefSegment {
   double rate;
 };
 
-// The walk as one sequential engine draws it.
+// The walk as one eager loop of the step function builds it.
 std::vector<RefSegment> reference_walk(double rho, double step_dt, double sigma,
                                        std::uint64_t seed, double start_rate,
                                        std::size_t count) {
-  std::mt19937_64 gen(seed);
   std::vector<RefSegment> segs{
       {0.0, 0.0, std::clamp(start_rate, 1.0 - rho, 1.0 + rho)}};
-  while (segs.size() < count) {
+  for (std::uint64_t k = 1; k < count; ++k) {
     const RefSegment last = segs.back();
-    std::normal_distribution<double> step(0.0, sigma);
     const double rate =
-        std::clamp(last.rate + step(gen), 1.0 - rho, 1.0 + rho);
-    segs.push_back({last.t0 + step_dt, last.hw0 + last.rate * step_dt, rate});
+        std::clamp(last.rate + sigma * gcs::util::normal_at(seed, k),
+                   1.0 - rho, 1.0 + rho);
+    segs.push_back({static_cast<double>(k) * step_dt,
+                    last.hw0 + last.rate * step_dt, rate});
   }
   return segs;
 }
@@ -118,6 +119,7 @@ void expect_matches_reference(const std::vector<RefSegment>& segs,
 TEST(Clock, RegeneratedWalkMatchesSequentialEngine) {
   constexpr double kRho = 0.02;
   constexpr std::size_t kSegments = 10001;
+  constexpr std::size_t kReplayed = 1001;
   const struct {
     std::uint64_t seed;
     double step_dt;
@@ -140,6 +142,9 @@ TEST(Clock, RegeneratedWalkMatchesSequentialEngine) {
     std::vector<Query> qs = all_queries(segs);
     expect_matches_reference(segs, HardwareClock(schedule), qs, "monotone");
 
+    // Nearly every query below replays the walk from segment 0, so these
+    // orders cover the first kReplayed segments only.
+    qs.resize(6 * (kReplayed - 1));
     std::reverse(qs.begin(), qs.end());
     expect_matches_reference(segs, HardwareClock(schedule), qs, "backwards");
 
@@ -155,12 +160,64 @@ TEST(Clock, CopyTakenMidWalkContinuesTheSameWalk) {
       reference_walk(kRho, 1.0, kRho / 4.0, 42, 1.0, 2001);
   const HardwareClock original(
       RateSchedule::random_walk(kRho, 1.0, kRho / 4.0, 42));
-  // Extend the walk partway (across a few block boundaries), then copy.
+  // Extend the walk partway (well past the window), then copy: the
+  // monotone queries from 0 replay both from segment 0.
   original.value_at(37.5);
   const HardwareClock copy = original;
   const std::vector<Query> qs = all_queries(segs);
   expect_matches_reference(segs, copy, qs, "copy");
   expect_matches_reference(segs, original, qs, "original");
+}
+
+// The simulator's pattern: each broadcast asks time_when a little ahead
+// (within the window), deliveries read value_at at the current instant.
+// Every few instants a far-ahead time_when pushes the window past the
+// present, so the lagging value_at that follows replays from segment 0.
+TEST(Clock, FarAheadTimeWhenWithLaggingValueAt) {
+  constexpr double kRho = 0.02;
+  const std::vector<RefSegment> segs =
+      reference_walk(kRho, 1.0, kRho / 4.0, 7, 1.0, 400);
+  const HardwareClock clock(
+      RateSchedule::random_walk(kRho, 1.0, kRho / 4.0, 7));
+  for (int i = 0; i < 3000; ++i) {
+    const double now = 0.1 * i;
+    const double ahead_value =
+        clock.value_at(now) + (i % 50 == 0 ? 40.0 : 0.5 + 0.01 * (i % 7));
+    std::vector<Query> qs = {{Kind::kTimeWhen, ahead_value},
+                             {Kind::kValueAt, now},
+                             {Kind::kRateAt, now},
+                             {Kind::kValueAt, now + 0.03}};
+    expect_matches_reference(segs, clock, qs, "simulator");
+  }
+}
+
+TEST(Clock, TwoClocksInDifferentOrdersAgreeBitForBit) {
+  const RateSchedule schedule =
+      RateSchedule::random_walk(0.05, 0.5, 0.02, 0xC0FFEEULL);
+  const HardwareClock in_order(schedule);
+  const HardwareClock shuffled(schedule);
+  std::vector<double> xs;
+  for (int i = 0; i <= 2000; ++i) xs.push_back(0.173 * i);
+  struct Reading {
+    std::uint64_t value, time, rate;
+  };
+  const auto read = [](const HardwareClock& c, double x) {
+    return Reading{bits(c.value_at(x)), bits(c.time_when(x)),
+                   bits(c.rate_at(x))};
+  };
+  std::vector<Reading> want;
+  for (double x : xs) want.push_back(read(in_order, x));
+  std::vector<std::size_t> order(xs.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::mt19937 shuffle_gen(5);
+  std::shuffle(order.begin(), order.end(), shuffle_gen);
+  for (std::size_t i : order) {
+    shuffled.time_when(xs[i] + 3.0);  // run ahead before each reading
+    const Reading got = read(shuffled, xs[i]);
+    EXPECT_EQ(want[i].value, got.value) << xs[i];
+    EXPECT_EQ(want[i].time, got.time) << xs[i];
+    EXPECT_EQ(want[i].rate, got.rate) << xs[i];
+  }
 }
 
 TEST(Clock, ValueAtAndTimeWhenInvert) {

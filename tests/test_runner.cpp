@@ -380,27 +380,37 @@ TEST(Runner, JobsAboveCellCountIsSafe) {
 
 TEST(Runner, ListNamesANonFiniteInputBeforeEchoing) {
   // `gcs_run --list --B0=nan` used to fail inside json::dump with an
-  // anonymous "cannot serialize non-finite number".  Expansion now
-  // rejects each of the six finite-only keys by name, so --list never
-  // gets to echo the config.
+  // anonymous "cannot serialize non-finite number", and --list echoed an
+  // unknown name like `--engine=foo` and exited 0.  Expansion now rejects
+  // each of the six finite-only keys and each string key by name, so
+  // --list never gets to echo the config.
+  const auto expect_rejected = [](const char* key, const char* value,
+                                  const std::string& reason) {
+    try {
+      const cli::Campaign campaign =
+          cli::build_campaign(nullptr, {{"n", "4"}, {key, value}});
+      cli::RunnerOptions options;
+      options.list_only = true;
+      std::ostringstream log;
+      cli::run_campaign(campaign, options, log);
+      ADD_FAILURE() << "--" << key << "=" << value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("campaign: cell 000: " + reason),
+                std::string::npos)
+          << e.what();
+    }
+  };
   for (const char* key : {"rho", "T", "D", "B0", "horizon", "sample_dt"}) {
     for (const char* value : {"nan", "inf"}) {
-      try {
-        const cli::Campaign campaign =
-            cli::build_campaign(nullptr, {{"n", "4"}, {key, value}});
-        cli::RunnerOptions options;
-        options.list_only = true;
-        std::ostringstream log;
-        cli::run_campaign(campaign, options, log);
-        ADD_FAILURE() << "--" << key << "=" << value << " was accepted";
-      } catch (const std::invalid_argument& e) {
-        EXPECT_NE(std::string(e.what()).find(std::string(key) +
-                                             " must be finite"),
-                  std::string::npos)
-            << e.what();
-      }
+      expect_rejected(key, value, std::string(key) + " must be finite");
     }
   }
+  for (const char* key : {"engine", "store", "delivery", "drift", "variant",
+                          "topology"}) {
+    expect_rejected(key, "foo", std::string("unknown ") + key + " 'foo'");
+  }
+  expect_rejected("delay", "foo", "delay 'foo': unknown delay kind");
+  expect_rejected("traffic", "foo", "traffic 'foo': unknown kind");
 }
 
 }  // namespace
