@@ -355,9 +355,14 @@ int run_campaign(const Campaign& campaign, const RunnerOptions& options,
   const std::size_t jobs = std::min<std::size_t>(
       std::max(options.jobs, 1), std::max<std::size_t>(cell_count, 1));
 
+  // One job runs its cells on the calling thread, in the commit loop.
+  // A worker thread would get its own malloc arena, and that arena's
+  // 64 MiB address-space reservation alone can break a ulimit -v cap
+  // that the cell's RSS sits well inside.
   std::vector<std::thread> pool;
-  pool.reserve(jobs);
-  for (std::size_t w = 0; w < jobs; ++w) {
+  const std::size_t workers = jobs > 1 ? jobs : 0;
+  pool.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) {
     pool.emplace_back([&] {
       for (;;) {
         if (cancelled.load(std::memory_order_relaxed)) return;
@@ -415,7 +420,9 @@ int run_campaign(const Campaign& campaign, const RunnerOptions& options,
   // artifacts, log it.  Workers may be many cells ahead; output order
   // never shows that.
   for (std::size_t i = 0; i < cell_count; ++i) {
-    {
+    if (pool.empty()) {
+      execute_cell(i);
+    } else {
       std::unique_lock<std::mutex> lock(mu);
       cv.wait(lock, [&] { return slots[i].done; });
     }

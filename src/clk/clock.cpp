@@ -1,6 +1,7 @@
 #include "clk/clock.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -39,7 +40,8 @@ void RateSchedule::step() const {
 }
 
 template <class Start>
-std::uint64_t RateSchedule::locate(double x, Start start) const {
+std::uint64_t RateSchedule::locate(double x, Start start,
+                                   std::uint64_t last) const {
   if (is_constant()) return 0;
   // Back through the window to the last segment starting at or before x;
   // x older than the window's oldest segment replays from segment 0.
@@ -54,7 +56,10 @@ std::uint64_t RateSchedule::locate(double x, Start start) const {
   }
   // Forward until the next segment starts after x.
   for (;; ++k) {
-    if (k == newest_) step();
+    if (k == newest_) {
+      if (k == last) return kBeyond;
+      step();
+    }
     if (start(k + 1) > x) return k;
   }
 }
@@ -65,8 +70,9 @@ std::uint64_t RateSchedule::index_at_time(double t) const {
   });
 }
 
-std::uint64_t RateSchedule::index_at_value(double v) const {
-  return locate(v, [this](std::uint64_t k) { return slot(k).hw0; });
+std::uint64_t RateSchedule::index_at_value(double v,
+                                           std::uint64_t last) const {
+  return locate(v, [this](std::uint64_t k) { return slot(k).hw0; }, last);
 }
 
 double RateSchedule::rate_at(double t) const {
@@ -83,9 +89,19 @@ double HardwareClock::value_at(double t) const {
 }
 
 double HardwareClock::time_when(double value) const {
-  const std::uint64_t k = schedule_.index_at_value(value);
-  const auto& s = schedule_.slot(k);
-  return static_cast<double>(k) * schedule_.step_dt_ + (value - s.hw0) / s.rate;
+  // The shared ring steps at most kWindow - 2 segments past its newest,
+  // which keeps the segment the last value_at read (one before the
+  // newest) in the ring.  A value further ahead is located on a copy.
+  std::optional<RateSchedule> ahead;
+  std::uint64_t k = schedule_.index_at_value(
+      value, schedule_.newest_ + RateSchedule::kWindow - 2);
+  if (k == RateSchedule::kBeyond) {
+    ahead = schedule_;
+    k = ahead->index_at_value(value);
+  }
+  const RateSchedule& schedule = ahead ? *ahead : schedule_;
+  const auto& s = schedule.slot(k);
+  return static_cast<double>(k) * schedule.step_dt_ + (value - s.hw0) / s.rate;
 }
 
 }  // namespace gcs::clk

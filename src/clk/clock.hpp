@@ -16,10 +16,11 @@
 // needs the segments before k, so a walk keeps just its newest kWindow
 // segments in the object.  Queries step the window forward; one older
 // than the window replays the walk from segment 0, so every query order
-// gets the same bits.  The simulator's pattern (a broadcast's time_when
-// delta_h ahead, value_at at the current instant) never replays while
-// delta_h is under about 2 * step_dt.  A schedule makes no heap
-// allocation.
+// gets the same bits.  A time_when that would step the window past the
+// segment the last value_at read steps a copy instead, so the
+// simulator's pattern (a broadcast's time_when delta_h ahead, value_at
+// at the current instant) never replays, however large delta_h is.  A
+// schedule makes no heap allocation.
 #ifndef GCS_CLK_CLOCK_HPP
 #define GCS_CLK_CLOCK_HPP
 
@@ -49,6 +50,7 @@ class RateSchedule {
   friend class HardwareClock;
 
   static constexpr std::uint64_t kWindow = 4;
+  static constexpr std::uint64_t kBeyond = ~std::uint64_t{0};
 
   struct Segment {
     double hw0;   // accumulated clock value at the start, k * step_dt
@@ -56,11 +58,13 @@ class RateSchedule {
   };
 
   // The index of the segment covering real time `t` / clock value `v`,
-  // left in the window (together with its successor).
+  // left in the window (together with its successor).  The window steps
+  // no further than segment `last`: a value beyond it returns kBeyond.
   std::uint64_t index_at_time(double t) const;
-  std::uint64_t index_at_value(double v) const;
+  std::uint64_t index_at_value(double v, std::uint64_t last = kBeyond) const;
   template <class Start>
-  std::uint64_t locate(double x, Start start) const;
+  std::uint64_t locate(double x, Start start,
+                       std::uint64_t last = kBeyond) const;
   const Segment& slot(std::uint64_t k) const { return window_[k % kWindow]; }
   void step() const;  // appends segment newest_ + 1
 

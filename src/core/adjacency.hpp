@@ -10,8 +10,9 @@
 // the arena compacts once abandoned holes pass a quarter of it.
 //
 // Segment order is insertion order and erase() shifts the segment tail
-// down rather than swap-removing: classic mode draws every delay from
-// one shared RNG in broadcast order, so the order IS trajectory.
+// down rather than swap-removing: a broadcast sends in slot order, and
+// send order assigns each message its index and hence its delay, so the
+// order IS trajectory.
 //
 // insert() may relocate any segment, so it invalidates held slots.  The
 // simulator calls insert()/erase() from topology events only (shards

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/dcsa_columns.hpp"
+#include "util/rng.hpp"
 
 namespace gcs::core {
 
@@ -70,7 +71,6 @@ NetworkSimulation::NetworkSimulation(const SyncParams& params,
       options_(options),
       recorder_(options.recorder),
       trace_(options.recorder != nullptr && options.recorder->wants_trace()),
-      rng_(options.seed),
       audit_sweep_(graph.initial_edges(), graph.events(),
                    params.T + params.D),
       sharded_(options.shards > 0),
@@ -79,9 +79,6 @@ NetworkSimulation::NetworkSimulation(const SyncParams& params,
   if (schedules.size() != n) {
     throw std::invalid_argument(
         "NetworkSimulation: one RateSchedule per node required");
-  }
-  if (!link_.prop.sample) {
-    throw std::invalid_argument("NetworkSimulation: delay model has no sampler");
   }
   if (!(std::isfinite(params_.delta_h) && params_.delta_h > 0.0)) {
     // Each broadcast reschedules itself delta_h of hardware time later:
@@ -113,6 +110,7 @@ NetworkSimulation::NetworkSimulation(const SyncParams& params,
                               clocks_[i].value_at(0.0), 0.0});
   }
   last_logical_.assign(n, 0.0);
+  node_msg_index_.assign(n, 0);
 
   if (sharded_) {
     if (options_.shards > 256) {
@@ -136,11 +134,6 @@ NetworkSimulation::NetworkSimulation(const SyncParams& params,
       // run -- so the partition is reproducible from the config alone.
       shard_of_[u] = static_cast<std::uint32_t>(u * k / n);
     }
-    node_rngs_.reserve(n);
-    for (std::size_t u = 0; u < n; ++u) {
-      node_rngs_.emplace_back(util::mix_seed(options_.seed, u));
-    }
-    node_msg_index_.assign(n, 0);
     contexts_.assign(k + 1, Context{});
     node_jump_.assign(n, 0.0);
     node_sync_delay_.assign(n, 0.0);
@@ -316,9 +309,9 @@ void NetworkSimulation::schedule_broadcast(NodeId u) {
 }
 
 void NetworkSimulation::broadcast(NodeId u) {
-  // Sharded: runs on u's shard, where u's clock, node state, RNG and
-  // segment are owner-local, and the adjacency only ever changes shape
-  // at barriers, so reading it mid-window is race-free.
+  // Sharded: runs on u's shard, where u's clock, node state, message
+  // index and segment are owner-local, and the adjacency only ever
+  // changes shape at barriers, so reading it mid-window is race-free.
   const sim::Time t = node_now(u);
   const double value = store_->logical_clock(u, clocks_[u].value_at(t));
   for (std::uint32_t s = adj_.begin(u); s < adj_.end(u); ++s) {
@@ -332,14 +325,14 @@ void NetworkSimulation::broadcast(NodeId u) {
 void NetworkSimulation::send(std::size_t ctx, NodeId from, std::uint32_t slot,
                              double value, sim::Time t) {
   const Delivery m{from, adj_.peer(slot), value, adj_.incarnation(slot)};
-  const net::Edge e(from, m.to);
-  // The model promises delay <= bound.  Sharded runs also clamp below to
-  // the floor, the lookahead the barrier windows rest on, so a
-  // misbehaving sampler cannot smuggle an event into the current window.
-  double d = sharded_ ? std::clamp(link_.prop.sample(e, node_rngs_[from]),
-                                  link_.prop.floor, link_.prop.bound)
-                      : std::clamp(link_.prop.sample(e, rng_), 1e-12,
-                                   link_.prop.bound);
+  // Message k of `from` draws from the word (seed, from, k) alone, so
+  // its delay is the same at every shard count.  The clamp keeps the
+  // model's promise delay <= bound and the floor the barrier windows
+  // rest on.
+  const std::uint64_t k = node_msg_index_[from]++;
+  double d = std::clamp(
+      link_.prop.sample(util::mix_seed(util::mix_seed(options_.seed, from), k)),
+      std::max(link_.prop.floor, 1e-12), link_.prop.bound);
   // Through the link pipeline: queue wait + transmission time on top of
   // the propagation draw (bit-exactly d when no finite bandwidth is
   // configured).  Sync messages are never queue-dropped -- their
@@ -354,22 +347,17 @@ void NetworkSimulation::send(std::size_t ctx, NodeId from, std::uint32_t slot,
     trace(ctx, from,
           {obs::TraceEvent::Kind::kSend, t, from, m.to, value, t + d, false});
   }
-  if (sharded_) {
-    node_sync_delay_[from] += d;
-  } else {
+  if (!sharded_) {
+    // Staged for the flush, which coalesces same-instant deliveries.
     stats_.sync_delay_sum += d;
-    if (options_.batched_delivery) {
-      // Stage for the flush; delays are sampled per receiver in send
-      // order either way, so the two modes draw identical randomness.
-      outbox_.emplace_back(t + d, m);
-      return;
-    }
+    outbox_.emplace_back(t + d, m);
+    return;
   }
+  node_sync_delay_[from] += d;
   ++c.delivery_events;  // one event per message
-  // Sharded: staged through the engine's outbox under the canonical
-  // (t, send_t, origin, index) key.  Classic: scheduled directly.
-  engine_->post(ctx, ctx_of(m.to), t + d,
-                sim::PostKey{t, from, sharded_ ? node_msg_index_[from]++ : 0},
+  // Staged through the engine's outbox under the canonical (t, send_t,
+  // origin, index) key; k is the index.
+  engine_->post(ctx, ctx_of(m.to), t + d, sim::PostKey{t, from, k},
                 [this, m] { deliver(&m, 1); });
 }
 
@@ -377,10 +365,10 @@ void NetworkSimulation::flush_outbox() {
   if (outbox_.empty()) return;
   // Group by exact delivery instant.  The sort is stable so same-instant
   // messages keep their send order -- that, plus the fact that distinct
-  // instants are ordered by time regardless of seq, is what makes
-  // batched delivery trajectory-identical to per-receiver mode.  An
-  // outbox already in time order (one message, or a constant delay) is
-  // left alone: std::stable_sort allocates a buffer on every call.
+  // instants are ordered by time regardless of seq, is what makes a
+  // batch deliver exactly as one event per message would.  An outbox
+  // already in time order (one message, or a constant delay) is left
+  // alone: std::stable_sort allocates a buffer on every call.
   const auto earlier = [](const auto& a, const auto& b) {
     return a.first < b.first;
   };
@@ -394,7 +382,7 @@ void NetworkSimulation::flush_outbox() {
     if (j == i + 1) {
       // Uncoalesced instant (the common case under continuous delay
       // distributions): skip the batch vector, schedule the delivery
-      // directly -- same cost as per-receiver mode.
+      // directly.
       engine_->at(0, outbox_[i].first,
                   [this, m = outbox_[i].second] { deliver(&m, 1); });
     } else {

@@ -50,22 +50,21 @@
 #include "net/link.hpp"
 #include "obs/recorder.hpp"
 #include "sim/sharded_engine.hpp"
-#include "util/rng.hpp"
 
 namespace gcs::core {
 
 struct SimOptions {
   bool check_conformance = true;
-  std::uint64_t seed = 42;            // drives delay sampling
+  // Message k of node u takes the delay drawn from the word
+  // mix_seed(mix_seed(seed, u), k), at every shard count.
+  std::uint64_t seed = 42;
   double conformance_slack = 1e-6;    // float headroom on envelope checks
   // Accepted for source compatibility and ignored: there is one queue.
   sim::EnginePolicy engine_policy = sim::EnginePolicy::kCalendar;
-  // Coalesce messages that a single broadcast (or edge-up exchange)
-  // schedules for the same delivery instant into one engine event that
-  // fans out to its receivers in send order.  Trajectories are
-  // bit-identical to per-receiver delivery (the determinism tests prove
-  // it); only the engine event count changes -- by ~average degree on
-  // dense graphs under constant delay.
+  // Accepted for source compatibility and ignored: a classic run always
+  // coalesces the messages that one broadcast (or edge-up exchange)
+  // schedules for the same instant into one engine event that fans out
+  // in send order, and a sharded run posts one event per message.
   bool batched_delivery = true;
   // Passive observer for structured trace records (send, deliver, drop,
   // jump, topology delta, conformance check).  Null (the default) makes
@@ -77,14 +76,14 @@ struct SimOptions {
   // In-cell parallelism: partition the nodes into this many shards of
   // the sim::ShardedEngine (conservative lookahead on the delay floor).
   // 0 (the default) is the classic run on the engine's one-queue mode.
-  // Sharded runs are their own deterministic universe -- one RNG stream
-  // per node, one delivery event per message, envelope conformance
-  // audited at sample times instead of per delivery -- and within it
-  // every observable byte is invariant across shard counts (shards=1
-  // runs inline and IS the single-threaded reference), but a sharded run
-  // is intentionally not byte-comparable to a shards == 0 run.  Requires
-  // a delay model with floor > 0; batched_delivery is ignored
-  // (cross-shard staging already batches per barrier).
+  // Every shard count draws the same delays (see `seed`), and within the
+  // sharded runs every observable byte is invariant across shard counts
+  // (shards=1 runs inline and IS the single-threaded reference).  A
+  // sharded run still differs from a shards == 0 run in three ways: the
+  // order of same-instant events (barrier merge vs send order), the
+  // envelope audit (at sample times instead of per delivery), and the
+  // float folds of total_jump and sync_delay_sum (node order vs event
+  // order).  Requires a delay model with floor > 0.
   std::size_t shards = 0;
 };
 
@@ -258,12 +257,11 @@ class NetworkSimulation {
   void remove_edge(const net::Edge& e, sim::Time t);
   void schedule_broadcast(NodeId u);
   void broadcast(NodeId u);
-  // Sends one message over the half-edge `slot` of from's segment.
-  // Classic batched mode stages it; callers must flush_outbox() before
-  // returning to the engine (a no-op otherwise).  Every other mode posts
-  // it from execution context `ctx` (the sender's shard, or global_ctx()
-  // for barrier-side discovery exchanges; at zero shards the post is a
-  // plain per-receiver schedule).  Messages carry the edge
+  // Sends one message over the half-edge `slot` of from's segment.  A
+  // classic run stages it; callers must flush_outbox() before returning
+  // to the engine (a no-op when sharded).  A sharded run posts it from
+  // execution context `ctx` (the sender's shard, or global_ctx() for
+  // barrier-side discovery exchanges).  Messages carry the edge
   // incarnation, never a slot: segments may relocate before the
   // delivery, which resolves its slot afresh.
   void send(std::size_t ctx, NodeId from, std::uint32_t slot, double value,
@@ -316,7 +314,6 @@ class NetworkSimulation {
   // costs nothing on the message path).
   obs::Recorder* recorder_;
   bool trace_;
-  util::Rng rng_;
   // Incremental interval-connectivity cursor over the schedule's
   // (T+D)-windows (owns its own copy of the schedule): each run_until
   // sweeps only the windows newly completed since the previous call, so
@@ -327,14 +324,12 @@ class NetworkSimulation {
   // one-queue engine -- in a classic run.
   std::unique_ptr<sim::ShardedEngine> engine_;
   // Sharded physics (options_.shards > 0): nodes map contiguously onto
-  // shards, and every node draws delays from its own seeded RNG stream
-  // so sends on different shards never contend for -- or K-variantly
-  // reorder draws from -- a shared generator.
+  // shards.
   bool sharded_ = false;
   std::vector<std::uint32_t> shard_of_;
-  std::vector<util::Rng> node_rngs_;
-  // Per-node running index of posted messages: the K-invariant
-  // tiebreaker in the barrier-merge key.
+  // Per-node running index of sent messages: it names message k of u
+  // for both its delay draw and the barrier-merge key, so neither
+  // depends on the shard count.
   std::vector<std::uint64_t> node_msg_index_;
   // Per-execution-context state (classic: one; sharded: one per shard,
   // last = globals), each written only by its owner: message counters,
@@ -393,7 +388,7 @@ class NetworkSimulation {
   std::uint64_t next_incarnation_ = 0;
   std::vector<double> next_broadcast_hw_;
   std::vector<double> last_logical_;  // monotonicity conformance
-  // Batched mode: messages staged by the current flush scope in send
+  // Classic runs: messages staged by the current flush scope in send
   // order; flush_outbox sort-groups them by exact delivery instant.
   std::vector<std::pair<sim::Time, Delivery>> outbox_;
   // mutable because the const stats() accessor composes the message

@@ -97,7 +97,6 @@ net::DelayModel build_delay(const ExperimentConfig& cfg) {
       lo = spec_number(rest.substr(0, mid));
       if (mid != std::string::npos) hi = spec_number(rest.substr(mid + 1));
     }
-    if (lo < 0.0) throw std::invalid_argument("uniform lo < 0");
     return net::make_uniform_delay(T, lo, hi);
   }
   if (kind == "constant") {
@@ -122,9 +121,10 @@ void check_engine(const std::string& engine) {
   throw std::invalid_argument("unknown engine '" + engine + "'");
 }
 
-bool parse_delivery(const std::string& delivery) {
-  if (delivery == "batched") return true;
-  if (delivery == "per-receiver") return false;
+// Kept for config compatibility like `engine`: both values select the
+// one classic delivery path, and any other value is rejected.
+void check_delivery(const std::string& delivery) {
+  if (delivery == "batched" || delivery == "per-receiver") return;
   throw std::invalid_argument("unknown delivery '" + delivery + "'");
 }
 
@@ -156,7 +156,7 @@ void check_config(const ExperimentConfig& cfg, const std::string& where) {
     drift_maker(cfg.drift);
     build_link(cfg);
     check_engine(cfg.engine);
-    parse_delivery(cfg.delivery);
+    check_delivery(cfg.delivery);
     adapter_store(cfg.store);
     core::Variant::parse(cfg.variant);
   } catch (const std::invalid_argument& e) {
@@ -187,7 +187,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
 
   core::SimOptions options = cfg.options;
   options.seed = cfg.seed;
-  options.batched_delivery = parse_delivery(cfg.delivery);
   options.recorder = recorder;
   options.shards = static_cast<std::size_t>(cfg.shards);
   const core::Variant variant = core::Variant::parse(cfg.variant);

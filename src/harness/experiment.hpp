@@ -39,20 +39,20 @@ struct ExperimentConfig {
   // (half the nodes at 1+rho, half at 1-rho).
   std::string drift = "spread";
 
-  // Delay model: "uniform[:lo[:hi]]" (uniform over [lo, hi], defaults
-  // [0, T]) or "constant[:x]" (exactly x, default T).  Sharded runs need
-  // a positive delay floor, i.e. a constant delay or uniform with
-  // lo > 0.
+  // Delay model: "uniform[:lo[:hi]]" (uniform over [lo, hi), defaults
+  // [0, T]) or "constant[:x]" (exactly x, default T); the numbers must
+  // be finite and non-negative.  Sharded runs need a positive delay
+  // floor, i.e. a positive constant delay or uniform with lo > 0.
   std::string delay = "uniform";
 
   // Event-engine scheduler: "calendar" or "heap".  Kept for config
   // compatibility; both select the one binary-heap queue, and any other
   // value is rejected.
   std::string engine = "calendar";
-  // Message delivery: "batched" (same-instant messages of one broadcast
-  // share an engine event) or "per-receiver" (one event per message).
-  // Also trajectory-neutral; only event counts differ.  Overrides
-  // options.batched_delivery the same way.
+  // Message delivery: "batched" or "per-receiver".  Kept for config
+  // compatibility like `engine`: both select the one delivery path (a
+  // classic run coalesces same-instant messages of one broadcast into
+  // one engine event), and any other value is rejected.
   std::string delivery = "batched";
   // In-cell shard count for the conservative-parallel engine; 0 keeps
   // the classic single-queue engine.  Overrides options.shards the same

@@ -169,15 +169,19 @@ TEST(Clock, CopyTakenMidWalkContinuesTheSameWalk) {
   expect_matches_reference(segs, original, qs, "original");
 }
 
-// The simulator's pattern: each broadcast asks time_when a little ahead
-// (within the window), deliveries read value_at at the current instant.
-// Every few instants a far-ahead time_when pushes the window past the
-// present, so the lagging value_at that follows replays from segment 0.
+// The simulator's pattern: each broadcast asks time_when ahead,
+// deliveries read value_at at the current instant.  Most queries stay
+// within the window, every 50th runs 40 units ahead, and a second clock
+// runs every query 4 * step_dt ahead (a broadcast period of delta_h = 4).
+// A far-ahead time_when steps a copy, so the lagging value_at that
+// follows still finds its segment in the window.
 TEST(Clock, FarAheadTimeWhenWithLaggingValueAt) {
   constexpr double kRho = 0.02;
   const std::vector<RefSegment> segs =
       reference_walk(kRho, 1.0, kRho / 4.0, 7, 1.0, 400);
   const HardwareClock clock(
+      RateSchedule::random_walk(kRho, 1.0, kRho / 4.0, 7));
+  const HardwareClock period4(
       RateSchedule::random_walk(kRho, 1.0, kRho / 4.0, 7));
   for (int i = 0; i < 3000; ++i) {
     const double now = 0.1 * i;
@@ -188,6 +192,8 @@ TEST(Clock, FarAheadTimeWhenWithLaggingValueAt) {
                              {Kind::kRateAt, now},
                              {Kind::kValueAt, now + 0.03}};
     expect_matches_reference(segs, clock, qs, "simulator");
+    qs[0].x = period4.value_at(now) + 4.0;
+    expect_matches_reference(segs, period4, qs, "4 * step_dt ahead");
   }
 }
 

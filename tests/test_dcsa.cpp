@@ -454,8 +454,8 @@ TEST(NetworkSimulation, ColumnsMatchesAdapterTrajectory) {
 
 // A message in flight when its edge goes down and comes back up before
 // the delivery instant belongs to the dead incarnation: it is dropped,
-// and the receiver adopts nothing from it -- in every delivery mode and
-// on both stores.  Node 0 runs fast, so an adopted value would jump
+// and the receiver adopts nothing from it -- classic and sharded, on
+// both stores.  Node 0 runs fast, so an adopted value would jump
 // node 1 forward.
 TEST(NetworkSimulation, AdjacencyDropsMessageAcrossEdgeReAdd) {
   auto p = small_params(2);
@@ -465,20 +465,12 @@ TEST(NetworkSimulation, AdjacencyDropsMessageAcrossEdgeReAdd) {
   const std::vector<gcs::net::TopologyEvent> events = {
       {send_t + 0.1, gcs::net::Edge(0, 1), false},
       {send_t + 0.2, gcs::net::Edge(0, 1), true}};
-  struct Mode {
-    const char* name;
-    bool batched;
-    std::size_t shards;
-  };
-  for (const Mode mode : {Mode{"batched", true, 0},
-                          Mode{"per-receiver", false, 0},
-                          Mode{"shards=2", true, 2}}) {
+  for (const std::size_t shards : {std::size_t{0}, std::size_t{2}}) {
     for (const bool adapter : {false, true}) {
-      SCOPED_TRACE(std::string(mode.name) +
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
                    (adapter ? " adapter" : " columns"));
       gcs::core::SimOptions opts;
-      opts.batched_delivery = mode.batched;
-      opts.shards = mode.shards;
+      opts.shards = shards;
       std::vector<gcs::clk::RateSchedule> schedules;
       schedules.emplace_back(1.0 + p.rho);
       schedules.emplace_back(1.0 - p.rho);

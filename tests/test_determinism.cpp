@@ -1,8 +1,12 @@
-// The determinism contract across delivery modes and shard counts: the
-// same seed and parameters must produce BIT-IDENTICAL logical-clock and
-// skew trajectories whether deliveries are batched or per-receiver.
-// This is what makes batched delivery a safe default: it is a pure
-// performance change, invisible to the physics.
+// The determinism contract across shard counts: the same seed and
+// parameters must produce BIT-IDENTICAL logical-clock and skew
+// trajectories whether a run is classic (shards=0: one queue, the
+// same-instant messages of a broadcast coalesced into one delivery
+// event) or sharded at any shard count (one event per message, merged at
+// barriers).  Message k of node u takes the delay drawn from (seed, u,
+// k) in every mode, so the modes differ only in how they schedule the
+// same deliveries -- which is what makes batching, and the sharded
+// engine, pure performance changes, invisible to the physics.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -55,162 +59,8 @@ struct Trace {
   std::uint64_t clamped = 0;
 };
 
-Trace run(const gcs::net::Scenario& scenario, bool batched, double horizon) {
-  const SyncParams p = test_params(scenario.n);
-  SimOptions options;
-  options.seed = 1234;
-  options.batched_delivery = batched;
-  NetworkSimulation sim(
-      p, scenario.to_dynamic_graph(), gcs::net::make_uniform_delay(p.T, 0.0, p.T),
-      walk_schedules(p, 99),
-      [&p](gcs::core::NodeId) { return std::make_unique<gcs::core::DcsaNode>(p); },
-      options);
-  Trace trace;
-  sim.schedule_periodic(0.25, 0.25, [&](gcs::sim::Time) {
-    for (std::size_t i = 0; i < sim.size(); ++i) {
-      trace.clocks.push_back(sim.logical_clock(static_cast<gcs::core::NodeId>(i)));
-    }
-  });
-  sim.run_until(horizon);
-  trace.messages_sent = sim.stats().messages_sent;
-  trace.messages_delivered = sim.stats().messages_delivered;
-  trace.messages_dropped = sim.stats().messages_dropped;
-  trace.delivery_events = sim.stats().delivery_events;
-  trace.jumps = sim.stats().jumps;
-  trace.clamped = sim.engine_clamped_count();
-  return trace;
-}
-
-// Runs the scenario per-receiver and batched and checks every observable
-// of the batched run against the per-receiver baseline, bit for bit.
-void expect_identical_across_modes(const gcs::net::Scenario& scenario,
-                                   double horizon) {
-  const Trace base = run(scenario, false, horizon);
-  ASSERT_FALSE(base.clocks.empty());
-  EXPECT_GT(base.messages_delivered, 0u);
-  EXPECT_EQ(base.clamped, 0u);
-  const Trace got = run(scenario, true, horizon);
-  // EXPECT_EQ on the double vector: exact equality, not approximate --
-  // the trajectories must be the same floating-point numbers.
-  EXPECT_EQ(base.clocks, got.clocks) << scenario.name;
-  EXPECT_EQ(base.messages_sent, got.messages_sent);
-  EXPECT_EQ(base.messages_delivered, got.messages_delivered);
-  EXPECT_EQ(base.messages_dropped, got.messages_dropped);
-  EXPECT_EQ(base.jumps, got.jumps);
-  EXPECT_EQ(got.clamped, 0u);
-  // Batching must only ever reduce the delivery event count.
-  EXPECT_LE(got.delivery_events, base.delivery_events);
-}
-
-TEST(DeterminismMatrix, ChurnScenario) {
-  gcs::util::Rng rng(7);
-  expect_identical_across_modes(
-      gcs::net::make_churn_scenario(12, 6, 8.0, 40.0, rng), 40.0);
-}
-
-TEST(DeterminismMatrix, SwitchingStarScenario) {
-  expect_identical_across_modes(
-      gcs::net::make_switching_star_scenario(10, 5.0, 1.0, 40.0), 40.0);
-}
-
-TEST(DeterminismMatrix, MobilityScenario) {
-  gcs::util::Rng rng(21);
-  expect_identical_across_modes(
-      gcs::net::make_mobility_scenario(10, 0.35, 0.01, 0.05, 1.0, 40.0,
-                                       /*backbone=*/true, rng),
-      40.0);
-}
-
-TEST(DeterminismMatrix, GaussMarkovScenario) {
-  gcs::util::Rng rng(33);
-  expect_identical_across_modes(
-      gcs::net::make_gauss_markov_scenario(10, /*radius=*/0.35,
-                                           /*mean_speed=*/0.04, /*alpha=*/0.8,
-                                           /*speed_sigma=*/0.01,
-                                           /*dir_sigma=*/0.5, /*update_dt=*/1.0,
-                                           40.0, /*backbone=*/true, rng),
-      40.0);
-}
-
-TEST(DeterminismMatrix, GroupScenario) {
-  gcs::util::Rng rng(45);
-  expect_identical_across_modes(
-      gcs::net::make_group_scenario(12, /*groups=*/3, /*radius=*/0.3,
-                                    /*group_radius=*/0.12, /*speed_min=*/0.02,
-                                    /*speed_max=*/0.06, /*update_dt=*/1.0,
-                                    /*switch_prob=*/0.05, 40.0,
-                                    /*backbone=*/true, rng),
-      40.0);
-}
-
-// Trace-driven replay, including a backbone-free schedule patched by the
-// interval-connectivity enforcer: connector events must be just as
-// trajectory-neutral across the matrix as generator events.
-TEST(DeterminismMatrix, TraceScenarioWithEnforcedConnectivity) {
-  gcs::net::ContactTrace trace;
-  trace.n = 8;
-  for (std::size_t i = 0; i + 1 < trace.n; ++i) {
-    trace.events.push_back({0.0, static_cast<gcs::net::NodeId>(i),
-                            static_cast<gcs::net::NodeId>(i + 1), true});
-  }
-  // Break the path apart in the middle for a while; the enforcer patches
-  // the windows this leaves disconnected.
-  trace.events.push_back({10.0, 3, 4, false});
-  trace.events.push_back({26.0, 3, 4, true});
-  gcs::net::Scenario scenario = gcs::net::make_trace_scenario(trace, 40.0);
-  gcs::net::enforce_interval_connectivity(scenario, /*window=*/3.5, 40.0);
-  expect_identical_across_modes(scenario, 40.0);
-}
-
-// Dense static graph under constant delay: the regime where batching
-// actually coalesces (every broadcast's fan-out shares one instant), so
-// prove both the trajectory equality AND that the event count drops by
-// ~average degree.
-TEST(DeterminismMatrix, CompleteGraphBatchingCoalesces) {
-  const std::size_t n = 16;
-  const SyncParams p = test_params(n);
-  auto run_complete = [&](bool batched) {
-    SimOptions options;
-    options.seed = 5;
-    options.batched_delivery = batched;
-    options.check_conformance = false;
-    NetworkSimulation sim(
-        p,
-        gcs::net::DynamicGraph(n, gcs::net::make_complete(n).edges(), {}),
-        gcs::net::make_constant_delay(p.T, p.T / 2.0), walk_schedules(p, 3),
-        [&p](gcs::core::NodeId) {
-          return std::make_unique<gcs::core::DcsaNode>(p);
-        },
-        options);
-    sim.run_until(30.0);
-    std::vector<double> clocks;
-    for (std::size_t i = 0; i < n; ++i) {
-      clocks.push_back(sim.logical_clock(static_cast<gcs::core::NodeId>(i)));
-    }
-    return std::make_pair(clocks, sim.stats());
-  };
-  const auto [clocks_unbatched, stats_unbatched] = run_complete(false);
-  const auto [clocks_batched, stats_batched] = run_complete(true);
-  EXPECT_EQ(clocks_unbatched, clocks_batched);
-  EXPECT_EQ(stats_unbatched.messages_delivered, stats_batched.messages_delivered);
-  // Every broadcast fans out to n-1 receivers at one instant: batched
-  // mode needs one event per broadcast, not n-1.
-  EXPECT_EQ(stats_unbatched.delivery_events, stats_unbatched.messages_sent);
-  EXPECT_LE(stats_batched.delivery_events * (n - 2),
-            stats_batched.messages_sent);
-}
-
-// ---------------------------------------------------------------------------
-// The sharded universe: options.shards >= 1 runs the conservative-
-// parallel engine on the delay floor.  Its contract is K-invariance --
-// every observable byte identical across shard counts, with shards=1 (inline, threadless) as the reference.  A
-// sharded run is intentionally NOT compared against shards=0: per-node
-// RNG streams and per-message delivery events make it a separate
-// deterministic universe.
-// ---------------------------------------------------------------------------
-
-Trace run_sharded(const gcs::net::Scenario& scenario, std::size_t shards,
-                  double horizon) {
+Trace run(const gcs::net::Scenario& scenario, std::size_t shards,
+          double horizon) {
   const SyncParams p = test_params(scenario.n);
   SimOptions options;
   options.seed = 1234;
@@ -237,9 +87,140 @@ Trace run_sharded(const gcs::net::Scenario& scenario, std::size_t shards,
   return trace;
 }
 
+// Every observable of `got` against `base`, bit for bit.  EXPECT_EQ on
+// the double vector is exact equality, not approximate: the
+// trajectories must be the same floating-point numbers.
+void expect_same_trajectory(const Trace& base, const Trace& got,
+                            const std::string& name) {
+  EXPECT_EQ(base.clocks, got.clocks) << name;
+  EXPECT_EQ(base.messages_sent, got.messages_sent) << name;
+  EXPECT_EQ(base.messages_delivered, got.messages_delivered) << name;
+  EXPECT_EQ(base.messages_dropped, got.messages_dropped) << name;
+  EXPECT_EQ(base.jumps, got.jumps) << name;
+  EXPECT_EQ(got.clamped, 0u) << name;
+}
+
+// Runs the scenario classic and at shards=1 (one event per message, the
+// sharded reference) and checks the classic run against it.
+void expect_classic_matches_sharded(const gcs::net::Scenario& scenario,
+                                    double horizon) {
+  const Trace base = run(scenario, 1, horizon);
+  ASSERT_FALSE(base.clocks.empty());
+  EXPECT_GT(base.messages_delivered, 0u);
+  EXPECT_EQ(base.clamped, 0u);
+  const Trace got = run(scenario, 0, horizon);
+  expect_same_trajectory(base, got, scenario.name + " classic");
+  // Batching only ever reduces the delivery event count.
+  EXPECT_LE(got.delivery_events, base.delivery_events);
+}
+
+TEST(DeterminismMatrix, ChurnScenario) {
+  gcs::util::Rng rng(7);
+  expect_classic_matches_sharded(
+      gcs::net::make_churn_scenario(12, 6, 8.0, 40.0, rng), 40.0);
+}
+
+TEST(DeterminismMatrix, SwitchingStarScenario) {
+  expect_classic_matches_sharded(
+      gcs::net::make_switching_star_scenario(10, 5.0, 1.0, 40.0), 40.0);
+}
+
+TEST(DeterminismMatrix, MobilityScenario) {
+  gcs::util::Rng rng(21);
+  expect_classic_matches_sharded(
+      gcs::net::make_mobility_scenario(10, 0.35, 0.01, 0.05, 1.0, 40.0,
+                                       /*backbone=*/true, rng),
+      40.0);
+}
+
+TEST(DeterminismMatrix, GaussMarkovScenario) {
+  gcs::util::Rng rng(33);
+  expect_classic_matches_sharded(
+      gcs::net::make_gauss_markov_scenario(10, /*radius=*/0.35,
+                                           /*mean_speed=*/0.04, /*alpha=*/0.8,
+                                           /*speed_sigma=*/0.01,
+                                           /*dir_sigma=*/0.5, /*update_dt=*/1.0,
+                                           40.0, /*backbone=*/true, rng),
+      40.0);
+}
+
+TEST(DeterminismMatrix, GroupScenario) {
+  gcs::util::Rng rng(45);
+  expect_classic_matches_sharded(
+      gcs::net::make_group_scenario(12, /*groups=*/3, /*radius=*/0.3,
+                                    /*group_radius=*/0.12, /*speed_min=*/0.02,
+                                    /*speed_max=*/0.06, /*update_dt=*/1.0,
+                                    /*switch_prob=*/0.05, 40.0,
+                                    /*backbone=*/true, rng),
+      40.0);
+}
+
+// Trace-driven replay, including a backbone-free schedule patched by the
+// interval-connectivity enforcer: connector events must be just as
+// trajectory-neutral across the matrix as generator events.
+TEST(DeterminismMatrix, TraceScenarioWithEnforcedConnectivity) {
+  gcs::net::ContactTrace trace;
+  trace.n = 8;
+  for (std::size_t i = 0; i + 1 < trace.n; ++i) {
+    trace.events.push_back({0.0, static_cast<gcs::net::NodeId>(i),
+                            static_cast<gcs::net::NodeId>(i + 1), true});
+  }
+  // Break the path apart in the middle for a while; the enforcer patches
+  // the windows this leaves disconnected.
+  trace.events.push_back({10.0, 3, 4, false});
+  trace.events.push_back({26.0, 3, 4, true});
+  gcs::net::Scenario scenario = gcs::net::make_trace_scenario(trace, 40.0);
+  gcs::net::enforce_interval_connectivity(scenario, /*window=*/3.5, 40.0);
+  expect_classic_matches_sharded(scenario, 40.0);
+}
+
+// Dense static graph under constant delay: the regime where batching
+// actually coalesces (every broadcast's fan-out shares one instant), so
+// prove both the trajectory equality AND that the classic event count
+// drops by ~average degree against one event per message at shards=1.
+TEST(DeterminismMatrix, CompleteGraphBatchingCoalesces) {
+  const std::size_t n = 16;
+  const SyncParams p = test_params(n);
+  auto run_complete = [&](std::size_t shards) {
+    SimOptions options;
+    options.seed = 5;
+    options.shards = shards;
+    options.check_conformance = false;
+    NetworkSimulation sim(
+        p,
+        gcs::net::DynamicGraph(n, gcs::net::make_complete(n).edges(), {}),
+        gcs::net::make_constant_delay(p.T, p.T / 2.0), walk_schedules(p, 3),
+        [&p](gcs::core::NodeId) {
+          return std::make_unique<gcs::core::DcsaNode>(p);
+        },
+        options);
+    sim.run_until(30.0);
+    std::vector<double> clocks;
+    for (std::size_t i = 0; i < n; ++i) {
+      clocks.push_back(sim.logical_clock(static_cast<gcs::core::NodeId>(i)));
+    }
+    return std::make_pair(clocks, sim.stats());
+  };
+  const auto [clocks_sharded, stats_sharded] = run_complete(1);
+  const auto [clocks_classic, stats_classic] = run_complete(0);
+  EXPECT_EQ(clocks_sharded, clocks_classic);
+  EXPECT_EQ(stats_sharded.messages_delivered, stats_classic.messages_delivered);
+  // Every broadcast fans out to n-1 receivers at one instant: the
+  // classic run needs one event per broadcast, not n-1.
+  EXPECT_EQ(stats_sharded.delivery_events, stats_sharded.messages_sent);
+  EXPECT_LE(stats_classic.delivery_events * (n - 2),
+            stats_classic.messages_sent);
+}
+
+// ---------------------------------------------------------------------------
+// The sharded engine's own contract is K-invariance: every observable
+// byte identical across shard counts, with shards=1 (inline,
+// threadless) as the reference.
+// ---------------------------------------------------------------------------
+
 void expect_identical_across_shard_counts(const gcs::net::Scenario& scenario,
                                           double horizon) {
-  const Trace base = run_sharded(scenario, 1, horizon);
+  const Trace base = run(scenario, 1, horizon);
   ASSERT_FALSE(base.clocks.empty());
   EXPECT_GT(base.messages_delivered, 0u);
   EXPECT_EQ(base.clamped, 0u);
@@ -247,15 +228,10 @@ void expect_identical_across_shard_counts(const gcs::net::Scenario& scenario,
   // no same-instant coalescing to do.
   EXPECT_EQ(base.delivery_events, base.messages_sent);
   for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
-    const Trace got = run_sharded(scenario, shards, horizon);
+    const Trace got = run(scenario, shards, horizon);
     const std::string name = "shards" + std::to_string(shards);
-    EXPECT_EQ(base.clocks, got.clocks) << scenario.name << " " << name;
-    EXPECT_EQ(base.messages_sent, got.messages_sent) << name;
-    EXPECT_EQ(base.messages_delivered, got.messages_delivered) << name;
-    EXPECT_EQ(base.messages_dropped, got.messages_dropped) << name;
+    expect_same_trajectory(base, got, scenario.name + " " + name);
     EXPECT_EQ(base.delivery_events, got.delivery_events) << name;
-    EXPECT_EQ(base.jumps, got.jumps) << name;
-    EXPECT_EQ(got.clamped, 0u) << name;
   }
 }
 
@@ -282,11 +258,9 @@ TEST(DeterminismMatrixSharded, GaussMarkovScenario) {
 }
 
 // Like every case here this runs walk drift under a random delay
-// (uniform over [0.25, 1]), the cell shape where both lazy states do real
-// work on the shard threads: each node's delay stream creates its engine
-// on its first send, and each walk regenerates its blocks from (seed,
-// draws) on whichever thread owns the node.  The longer horizon takes
-// every walk across several blocks.
+// (uniform over [0.25, 1]): each node's walk steps its window, and each
+// node's message index advances, on whichever thread owns the node.  The
+// longer horizon takes every walk far past its window.
 TEST(DeterminismMatrixSharded, LongChurnScenarioCrossesWalkBlocks) {
   gcs::util::Rng rng(11);
   expect_identical_across_shard_counts(
@@ -299,8 +273,8 @@ TEST(DeterminismMatrixSharded, MoreShardsThanNodesClampsAndStaysInvariant) {
   gcs::util::Rng rng(7);
   const gcs::net::Scenario scenario =
       gcs::net::make_churn_scenario(12, 6, 8.0, 40.0, rng);
-  const Trace base = run_sharded(scenario, 1, 40.0);
-  const Trace wide = run_sharded(scenario, 64, 40.0);
+  const Trace base = run(scenario, 1, 40.0);
+  const Trace wide = run(scenario, 64, 40.0);
   EXPECT_EQ(base.clocks, wide.clocks);
   EXPECT_EQ(base.messages_delivered, wide.messages_delivered);
 }

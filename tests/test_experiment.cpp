@@ -5,8 +5,13 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "harness/serialize.hpp"
 #include "net/scenario.hpp"
+#include "obs/recorder.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -150,27 +155,23 @@ TEST(RunExperiment, RejectsBadConfigs) {
 }
 
 TEST(RunExperiment, EngineAndDeliveryKnobsAreTrajectoryNeutral) {
-  // The harness-level restatement of the determinism contract: every
-  // engine/delivery combination reports the same measured physics.
+  // Both knobs are kept for config compatibility: every accepted value
+  // reports the same measured physics.
   const auto base = gcs::harness::run_experiment(small_config());
   EXPECT_EQ(base.clamped_events, 0u);
-  for (const char* engine : {"calendar", "heap"}) {
-    for (const char* delivery : {"batched", "per-receiver"}) {
-      auto cfg = small_config();
-      cfg.engine = engine;
-      cfg.delivery = delivery;
-      const auto result = gcs::harness::run_experiment(cfg);
-      EXPECT_EQ(result.max_global_skew, base.max_global_skew)
-          << engine << "/" << delivery;
-      EXPECT_EQ(result.max_local_skew, base.max_local_skew)
-          << engine << "/" << delivery;
-      EXPECT_EQ(result.run_stats.messages_delivered,
-                base.run_stats.messages_delivered)
-          << engine << "/" << delivery;
-      EXPECT_EQ(result.run_stats.jumps, base.run_stats.jumps)
-          << engine << "/" << delivery;
-      EXPECT_EQ(result.clamped_events, 0u) << engine << "/" << delivery;
-    }
+  for (const auto& [engine, delivery] :
+       {std::pair{"calendar", "per-receiver"}, std::pair{"heap", "batched"}}) {
+    auto cfg = small_config();
+    cfg.engine = engine;
+    cfg.delivery = delivery;
+    const auto result = gcs::harness::run_experiment(cfg);
+    EXPECT_EQ(result.max_global_skew, base.max_global_skew) << engine;
+    EXPECT_EQ(result.max_local_skew, base.max_local_skew) << engine;
+    EXPECT_EQ(result.run_stats.messages_delivered,
+              base.run_stats.messages_delivered)
+        << engine;
+    EXPECT_EQ(result.run_stats.jumps, base.run_stats.jumps) << engine;
+    EXPECT_EQ(result.clamped_events, 0u) << engine;
   }
 }
 
@@ -261,15 +262,95 @@ TEST(RunExperiment, ReportsDeliveryEventStats) {
   cfg.topology = "complete";
   cfg.delay = "constant:0.5";
   const auto batched = gcs::harness::run_experiment(cfg);
-  cfg.delivery = "per-receiver";
+  cfg.shards = 1;
   const auto unbatched = gcs::harness::run_experiment(cfg);
-  // Per-receiver: one engine event per message.  Batched on a complete
-  // graph under constant delay: one event per broadcast fan-out.
+  // Sharded: one engine event per message.  Classic on a complete graph
+  // under constant delay: one event per broadcast fan-out.
   EXPECT_EQ(unbatched.run_stats.delivery_events,
             unbatched.run_stats.messages_sent);
   EXPECT_LT(batched.run_stats.delivery_events,
             batched.run_stats.messages_sent / 2);
   EXPECT_LT(batched.events_executed, unbatched.events_executed);
+}
+
+// Records every series row.
+struct SampleLog : gcs::obs::Recorder {
+  std::vector<gcs::obs::SeriesSample> rows;
+  void on_sample(const gcs::obs::SeriesSample& sample) override {
+    rows.push_back(sample);
+  }
+};
+
+// Classic runs and shards=1 draw the same delays and deliver in the same
+// order, so every trajectory field agrees bit for bit.  Exempt: the
+// scheduler's own counters (engine_stats, events_executed,
+// delivery_events, peak_engine_pending, each row's engine_pending), the
+// per-delivery envelope audit only classic runs do (conformance_checks),
+// and the two float sums each mode folds in its own order (total_jump,
+// sync_delay_sum).  The constant-delay cell coalesces deliveries; the
+// uniform one draws a different delay for every message.
+//
+// The modes still order same-instant events differently (a sharded run
+// puts globals such as the sampler first).  A walk's first segment runs
+// at rate 1 exactly, so the first broadcasts and their constant-delay
+// deliveries fall on multiples of delta_h / n = 1/24 up to t = 1.5;
+// sample_dt = 0.37 keeps every sample off them.
+TEST(RunExperiment, ClassicMatchesOneShardOnTheTrajectory) {
+  namespace json = gcs::util::json;
+  for (const char* delay : {"constant:0.5", "uniform:0.25:1"}) {
+    SCOPED_TRACE(delay);
+    auto cfg = small_config();
+    cfg.params.n = 12;
+    cfg.drift = "walk";
+    cfg.delay = delay;
+    cfg.horizon = 60.0;
+    cfg.sample_dt = 0.37;
+    gcs::util::Rng rng(5);
+    cfg.scenario =
+        gcs::net::make_churn_scenario(12, 6, 10.0, cfg.horizon, rng);
+    SampleLog classic_log;
+    SampleLog sharded_log;
+    const auto classic = gcs::harness::run_experiment(cfg, &classic_log);
+    cfg.shards = 1;
+    const auto sharded = gcs::harness::run_experiment(cfg, &sharded_log);
+
+    EXPECT_GT(classic.run_stats.topology_events_applied, 0u);
+    if (delay[0] == 'c') {
+      EXPECT_LT(classic.run_stats.delivery_events,
+                classic.run_stats.messages_sent);
+    }
+    EXPECT_NEAR(classic.run_stats.total_jump, sharded.run_stats.total_jump,
+                1e-9 * sharded.run_stats.total_jump);
+    EXPECT_NEAR(classic.run_stats.sync_delay_sum,
+                sharded.run_stats.sync_delay_sum,
+                1e-9 * sharded.run_stats.sync_delay_sum);
+    const auto trajectory = [](const gcs::harness::ExperimentResult& r) {
+      json::Value doc = gcs::harness::to_json(r);
+      doc.as_object().erase("engine_stats");
+      doc.as_object().erase("events_executed");
+      for (const char* key : {"delivery_events", "conformance_checks",
+                              "total_jump", "sync_delay_sum"}) {
+        doc["run_stats"].as_object().erase(key);
+      }
+      doc["series"].as_object().erase("peak_engine_pending");
+      return json::dump(doc);
+    };
+    EXPECT_EQ(trajectory(classic), trajectory(sharded));
+
+    ASSERT_EQ(classic_log.rows.size(), sharded_log.rows.size());
+    ASSERT_FALSE(classic_log.rows.empty());
+    for (std::size_t i = 0; i < classic_log.rows.size(); ++i) {
+      const gcs::obs::SeriesSample& a = classic_log.rows[i];
+      const gcs::obs::SeriesSample& b = sharded_log.rows[i];
+      EXPECT_EQ(a.t, b.t) << i;
+      EXPECT_EQ(a.global_skew, b.global_skew) << i;
+      EXPECT_EQ(a.max_local_skew, b.max_local_skew) << i;
+      EXPECT_EQ(a.max_envelope_ratio, b.max_envelope_ratio) << i;
+      EXPECT_EQ(a.live_edges, b.live_edges) << i;
+      EXPECT_EQ(a.in_flight, b.in_flight) << i;
+      EXPECT_EQ(a.queue_bytes, b.queue_bytes) << i;
+    }
+  }
 }
 
 }  // namespace

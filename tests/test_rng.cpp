@@ -1,5 +1,5 @@
-// util::Rng creates its engine on the first draw.  The stream must be the
-// one an eagerly seeded std::mt19937_64 gives, and copies -- taken before
+// util::Rng holds one std::mt19937_64 by value.  Its draws must be the
+// ones a bare engine with the same seed gives, and copies -- taken before
 // or after the first draw -- must carry the stream position with them.
 #include <gtest/gtest.h>
 
@@ -42,16 +42,16 @@ void expect_same_draws(A& a, B& b, int rounds) {
 
 TEST(Rng, LazyEngineDrawsLikeEagerEngine) {
   for (std::uint64_t seed : {0ULL, 1ULL, 7ULL, 0x9E3779B97F4A7C15ULL}) {
-    Rng lazy(seed);
+    Rng rng(seed);
     EagerRng eager(seed);
-    expect_same_draws(lazy, eager, 1000);
+    expect_same_draws(rng, eager, 1000);
   }
 }
 
 TEST(Rng, DefaultSeedIsOne) {
-  Rng lazy;
+  Rng rng;
   EagerRng eager(1);
-  expect_same_draws(lazy, eager, 10);
+  expect_same_draws(rng, eager, 10);
 }
 
 TEST(Rng, CopyTakenMidStreamContinuesIdentically) {

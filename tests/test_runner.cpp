@@ -15,6 +15,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "cli/campaign.hpp"
 #include "util/json.hpp"
@@ -410,6 +411,19 @@ TEST(Runner, ListNamesANonFiniteInputBeforeEchoing) {
     expect_rejected(key, "foo", std::string("unknown ") + key + " 'foo'");
   }
   expect_rejected("delay", "foo", "delay 'foo': unknown delay kind");
+  // A delay spec's numbers must be finite and non-negative; otherwise a
+  // NaN reaches the engine as an event time, and a negative constant
+  // runs silently at the 1e-12 clamp.
+  for (const auto& [spec, reason] :
+       {std::pair{"uniform:nan", "uniform lo must be finite and >= 0, got nan"},
+        std::pair{"uniform:0.25:inf", "uniform hi must be finite and >= 0"},
+        std::pair{"constant:nan", "constant delay must be finite and >= 0"},
+        std::pair{"constant:inf", "constant delay must be finite and >= 0"},
+        std::pair{"constant:-1", "constant delay must be finite and >= 0"},
+        std::pair{"uniform:-0.1", "uniform lo must be finite and >= 0"}}) {
+    expect_rejected("delay", spec,
+                    std::string("delay '") + spec + "': " + reason);
+  }
   expect_rejected("traffic", "foo", "traffic 'foo': unknown kind");
 }
 

@@ -30,7 +30,8 @@ options:
   --campaign FILE   campaign JSON ({name, defaults, sweep}); flags overlay it
   --out DIR         results directory (default: results/<campaign-name>)
   --jobs N          run cells on N worker threads (cells are independent;
-                    every output file is byte-identical to --jobs 1)
+                    every output file is byte-identical to --jobs 1,
+                    which runs them on the calling thread)
   --check           audit every cell (bound violations, engine clamps,
                     result-schema round-trip) and exit 1 on any failure
   --fixed-timing    write wall_ms/events_per_sec as 0 in all artifacts so
@@ -51,10 +52,11 @@ sweepable keys (comma lists and integer ranges a..b become axes):
   n, topology (path|ring|star|complete), drift (spread|walk|two-camp),
   delay (uniform[:lo[:hi]]|constant[:x]), engine (calendar|heap: both
   select the one event queue; kept for old campaign files),
-  delivery (batched|per-receiver), shards (0 = classic single-queue
+  delivery (batched|per-receiver: both select the one delivery path;
+  kept for old campaign files), shards (0 = classic single-queue
   engine; >= 1 runs the sharded conservative-parallel engine, which
   needs a delay with a positive floor, e.g. constant:0.5 or
-  uniform:0.25), store (columns = struct-of-arrays node state, the
+  uniform:0.25; every shard count draws the same delays), store (columns = struct-of-arrays node state, the
   scale default; adapter = per-node objects, the byte-identical
   reference path), rho, T, D, delta_h, B0,
   horizon, sample_dt, seed (alias: seeds)
