@@ -148,6 +148,16 @@ NetworkSimulation::NetworkSimulation(const SyncParams& params,
   // contract holds under any load (see the class comment).
   engine_ = std::make_unique<sim::ShardedEngine>(contexts_.size() - 1,
                                                  link_.prop.floor);
+  // Incarnations start at 1, so a message with incarnation 0 names no
+  // edge: it is node `from`'s broadcast timer, a self-message.
+  engine_->set_message_handler(
+      [this](const sim::Message* batch, std::size_t count) {
+        if (batch->incarnation == 0) {
+          broadcast(batch->from);
+        } else {
+          deliver(batch, count);
+        }
+      });
 
   for (const net::Edge& e : graph.initial_edges()) add_edge(e, 0.0, true);
   // Every topology event is scheduled up front as a global (sharded: run
@@ -304,8 +314,9 @@ void NetworkSimulation::remove_edge(const net::Edge& e, sim::Time t) {
 }
 
 void NetworkSimulation::schedule_broadcast(NodeId u) {
-  engine_->at(ctx_of(u), clocks_[u].time_when(next_broadcast_hw_[u]),
-              [this, u] { broadcast(u); });
+  const sim::Message timer{u, u, 0.0, 0};
+  engine_->at(ctx_of(u), clocks_[u].time_when(next_broadcast_hw_[u]), &timer,
+              1);
 }
 
 void NetworkSimulation::broadcast(NodeId u) {
@@ -324,7 +335,7 @@ void NetworkSimulation::broadcast(NodeId u) {
 
 void NetworkSimulation::send(std::size_t ctx, NodeId from, std::uint32_t slot,
                              double value, sim::Time t) {
-  const Delivery m{from, adj_.peer(slot), value, adj_.incarnation(slot)};
+  const sim::Message m{from, adj_.peer(slot), value, adj_.incarnation(slot)};
   // Message k of `from` draws from the word (seed, from, k) alone, so
   // its delay is the same at every shard count.  The clamp keeps the
   // model's promise delay <= bound and the floor the barrier windows
@@ -357,8 +368,7 @@ void NetworkSimulation::send(std::size_t ctx, NodeId from, std::uint32_t slot,
   ++c.delivery_events;  // one event per message
   // Staged through the engine's outbox under the canonical (t, send_t,
   // origin, index) key; k is the index.
-  engine_->post(ctx, ctx_of(m.to), t + d, sim::PostKey{t, from, k},
-                [this, m] { deliver(&m, 1); });
+  engine_->post(ctx, ctx_of(m.to), t + d, sim::PostKey{t, from, k}, m);
 }
 
 void NetworkSimulation::flush_outbox() {
@@ -379,26 +389,16 @@ void NetworkSimulation::flush_outbox() {
     std::size_t j = i + 1;
     while (j < outbox_.size() && outbox_[j].first == outbox_[i].first) ++j;
     ++contexts_[0].delivery_events;
-    if (j == i + 1) {
-      // Uncoalesced instant (the common case under continuous delay
-      // distributions): skip the batch vector, schedule the delivery
-      // directly.
-      engine_->at(0, outbox_[i].first,
-                  [this, m = outbox_[i].second] { deliver(&m, 1); });
-    } else {
-      std::vector<Delivery> batch;
-      batch.reserve(j - i);
-      for (std::size_t k = i; k < j; ++k) batch.push_back(outbox_[k].second);
-      engine_->at(0, outbox_[i].first, [this, batch = std::move(batch)] {
-        deliver(batch.data(), batch.size());
-      });
-    }
+    batch_.clear();
+    for (std::size_t k = i; k < j; ++k) batch_.push_back(outbox_[k].second);
+    engine_->at(0, outbox_[i].first, batch_.data(), batch_.size());
     i = j;
   }
   outbox_.clear();
 }
 
-void NetworkSimulation::deliver(const Delivery* batch, std::size_t count) {
+void NetworkSimulation::deliver(const sim::Message* batch,
+                                std::size_t count) {
   const std::size_t ctx = ctx_of(batch->to);
   const sim::Time t = node_now(batch->to);
   Sink sink(this);
@@ -408,7 +408,7 @@ void NetworkSimulation::deliver(const Delivery* batch, std::size_t count) {
     store_->on_deliveries(run.data(), run.size(), sink);
     run.clear();
   };
-  for (const Delivery* m = batch; m != batch + count; ++m) {
+  for (const sim::Message* m = batch; m != batch + count; ++m) {
     const std::uint32_t s = adj_.find(m->to, m->from, m->incarnation);
     if (s == Adjacency::kNpos) {
       // Emit the drop at its original position in the batch: flush the

@@ -235,12 +235,6 @@ class NetworkSimulation {
   }
 
  private:
-  struct Delivery {
-    NodeId from;
-    NodeId to;
-    double value;
-    std::uint64_t incarnation;
-  };
   // Order-preserving DeliverySink (defined in the .cpp): it puts stats,
   // traces, and conformance checks at exactly the points the old
   // per-node path emitted them.
@@ -274,7 +268,7 @@ class NetworkSimulation {
   // runs to the store as contiguous on_deliveries batches, emitting
   // drops at their original positions -- byte-order-identical to
   // per-record delivery.
-  void deliver(const Delivery* batch, std::size_t count);
+  void deliver(const sim::Message* batch, std::size_t count);
   // Audits d's edge against the B envelope; `to_logical` is the
   // receiver's logical clock, already read for the monotonicity check.
   void check_edge_conformance(const StoreDelivery& d, double to_logical);
@@ -390,7 +384,10 @@ class NetworkSimulation {
   std::vector<double> last_logical_;  // monotonicity conformance
   // Classic runs: messages staged by the current flush scope in send
   // order; flush_outbox sort-groups them by exact delivery instant.
-  std::vector<std::pair<sim::Time, Delivery>> outbox_;
+  std::vector<std::pair<sim::Time, sim::Message>> outbox_;
+  // Classic runs: one instant's messages, handed to the engine as one
+  // event (which copies them).
+  std::vector<sim::Message> batch_;
   // mutable because the const stats() accessor composes the message
   // counters from contexts_ (and, sharded, node_jump_/node_sync_delay_).
   mutable RunStats stats_;

@@ -8,25 +8,73 @@
 
 namespace gcs::sim {
 
-void Engine::at(Time t, std::function<void()> fn) {
+void Engine::push(ScheduledEvent ev) {
   // Reject before any queue or clamp math runs, so a bad timestamp leaves
   // no trace.
-  if (!std::isfinite(t)) {
+  if (!std::isfinite(ev.t)) {
     throw std::invalid_argument("Engine::at: non-finite time " +
-                                std::to_string(t));
+                                std::to_string(ev.t));
   }
-  if (t < now_) {
+  if (ev.t < now_) {
     if (clamped_ == 0) {
-      first_clamped_time_ = t;
+      first_clamped_time_ = ev.t;
       first_clamped_seq_ = next_seq_;
     }
     ++clamped_;
-    t = now_;
+    ev.t = now_;
   }
-  heap_.push_back(ScheduledEvent{t, next_seq_++, std::move(fn)});
+  ev.seq = next_seq_++;
+  heap_.push_back(ev);
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   ++heap_ops_;
   max_pending_ = std::max<std::uint64_t>(max_pending_, pending());
+}
+
+void Engine::at(Time t, std::function<void()> fn) {
+  ScheduledEvent ev;
+  ev.t = t;
+  ev.slot = free_slots_.empty() ? boxed_.size() : free_slots_.back();
+  push(ev);  // first: a rejected time must leave the table as it was
+  if (ev.slot == boxed_.size()) {
+    boxed_.push_back(std::move(fn));
+  } else {
+    free_slots_.pop_back();
+    boxed_[ev.slot] = std::move(fn);
+  }
+}
+
+void Engine::at(Time t, const Message* batch, std::size_t count) {
+  ScheduledEvent ev;
+  ev.t = t;
+  if (count == 1) {
+    ev.kind = ScheduledEvent::Kind::kMessage;
+    ev.msg = *batch;
+    push(ev);
+    return;
+  }
+  if (chunks_.empty() || chunks_[chunk_].live == 0 ||
+      chunks_[chunk_].msgs.size() + count > kChunk) {
+    // The first chunk whose batches have all run, else a new one.
+    chunk_ = 0;
+    while (chunk_ < chunks_.size() && chunks_[chunk_].live > 0) ++chunk_;
+    if (chunk_ == chunks_.size()) chunks_.emplace_back();
+    chunks_[chunk_].msgs.clear();
+  }
+  Chunk& chunk = chunks_[chunk_];
+  ev.kind = ScheduledEvent::Kind::kBatch;
+  ev.batch = {chunk_, static_cast<std::uint32_t>(chunk.msgs.size()),
+              static_cast<std::uint32_t>(count)};
+  push(ev);  // first: a rejected time must leave the chunks as they were
+  chunk.msgs.insert(chunk.msgs.end(), batch, batch + count);
+  ++chunk.live;
+}
+
+void Engine::queue_firing(PeriodicId id, Time t) {
+  ScheduledEvent ev;
+  ev.t = t;
+  ev.kind = ScheduledEvent::Kind::kPeriodic;
+  ev.firing = {id, t};
+  push(ev);
 }
 
 PeriodicId Engine::every(Time first, Duration period,
@@ -44,7 +92,7 @@ PeriodicId Engine::every(Time first, Duration period,
   }
   const PeriodicId id = periodics_.size();
   periodics_.push_back(Periodic{period, std::move(fn)});
-  at(first, [this, id, first] { fire_periodic(id, first); });
+  queue_firing(id, first);
   return id;
 }
 
@@ -61,7 +109,7 @@ void Engine::fire_periodic(PeriodicId id, Time t) {
   if (periodics_[id].period != 0.0) periodics_[id].fn = std::move(fn);
   // Queued even if the callback just cancelled this entry (it then pops
   // as inert), so the seq stream never depends on when a cancel happens.
-  at(t + period, [this, id, next = t + period] { fire_periodic(id, next); });
+  queue_firing(id, t + period);
 }
 
 void Engine::cancel_every(PeriodicId id) {
@@ -80,11 +128,27 @@ void Engine::run_until(Time horizon) {
   while (!heap_.empty() && heap_.front().t <= horizon) {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     ++heap_ops_;
-    ScheduledEvent ev = std::move(heap_.back());
+    const ScheduledEvent ev = heap_.back();
     heap_.pop_back();
     now_ = std::max(now_, ev.t);
     ++executed_;
-    ev.fn();
+    if (ev.kind == ScheduledEvent::Kind::kMessage) {
+      on_message_(&ev.msg, 1);
+    } else if (ev.kind == ScheduledEvent::Kind::kBatch) {
+      Chunk& chunk = chunks_[ev.batch.chunk];
+      const Message* first = chunk.msgs.data() + ev.batch.offset;
+      running_.assign(first, first + ev.batch.count);
+      --chunk.live;
+      on_message_(running_.data(), running_.size());
+    } else if (ev.kind == ScheduledEvent::Kind::kPeriodic) {
+      fire_periodic(ev.firing.id, ev.firing.t);
+    } else {
+      // Out of the table before the call, which may schedule.
+      std::function<void()> fn = std::move(boxed_[ev.slot]);
+      boxed_[ev.slot] = nullptr;
+      free_slots_.push_back(ev.slot);
+      fn();
+    }
   }
   now_ = std::max(now_, horizon);
 }

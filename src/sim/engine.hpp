@@ -2,10 +2,15 @@
 //
 // The engine is the bottom layer of the simulation stack: everything above
 // it (clocks, message delivery, topology changes, periodic samplers) is
-// expressed as timestamped callbacks.  Determinism is load-bearing: two
-// runs with the same inputs must execute the same callbacks in the same
+// expressed as timestamped events.  Determinism is load-bearing: two
+// runs with the same inputs must execute the same events in the same
 // order, so events are ordered by (timestamp, insertion sequence) and ties
 // are FIFO.
+//
+// An event is plain data: a boxed callback's slot, a message or a batch
+// of same-instant messages for the engine's one message handler, or a
+// periodic firing.  All kinds share one (t, seq) stream, and only a
+// boxed callback may allocate.
 //
 // The queue is one std::push_heap/std::pop_heap binary heap of
 // ScheduledEvent: O(log n) per operation, trivially correct.  DESIGN.md
@@ -17,6 +22,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace gcs::sim {
@@ -28,16 +35,41 @@ using Duration = double;
 // one binary-heap queue.
 enum class EnginePolicy { kCalendar, kHeap };
 
-// One scheduled callback.  Ordered by (t, seq); seq ties are FIFO.
-struct ScheduledEvent {
-  double t = 0.0;
-  std::uint64_t seq = 0;
-  std::function<void()> fn;
-};
-
 // Handle returned by every(); pass to cancel_every() to detach the
 // periodic callback.
 using PeriodicId = std::uint64_t;
+
+// The payload of a message event.
+struct Message {
+  std::uint32_t from;
+  std::uint32_t to;
+  double value;
+  std::uint64_t incarnation;
+};
+static_assert(sizeof(Message) == 24 && std::is_trivially_copyable_v<Message>);
+
+// One scheduled event, ordered by (t, seq); seq ties are FIFO.
+struct ScheduledEvent {
+  enum class Kind : std::uint32_t { kBoxed, kMessage, kBatch, kPeriodic };
+  struct Batch {
+    std::uint32_t chunk, offset, count;
+  };
+  struct Firing {
+    PeriodicId id;
+    double t;  // nominal: a clamped first firing keeps its own time
+  };
+  double t = 0.0;
+  std::uint64_t seq = 0;
+  Kind kind = Kind::kBoxed;
+  union {
+    std::uint64_t slot;  // kBoxed
+    Message msg;         // kMessage
+    Batch batch;         // kBatch: a range of one of the engine's chunks_
+    Firing firing;       // kPeriodic
+  };
+};
+static_assert(sizeof(ScheduledEvent) == 48 &&
+              std::is_trivially_copyable_v<ScheduledEvent>);
 
 // Scheduler-health counters, composed on demand by Engine::stats().
 // max_pending is the queue's high-water mark and heap_ops counts the
@@ -76,6 +108,16 @@ class Engine {
   // with everything, so it would slip past the clamp and sit at an
   // arbitrary heap position, and no non-finite time may enter the queue.
   void at(Time t, std::function<void()> fn);
+  // Schedules `count` >= 1 same-instant messages as one event, like
+  // at(), which hands them to the message handler together.  A lone
+  // message rides in the event; a batch is copied into the engine's
+  // chunks.  Neither allocates once the chunks are warm.
+  void at(Time t, const Message* batch, std::size_t count);
+  // Set before the first message event runs.
+  void set_message_handler(
+      std::function<void(const Message*, std::size_t)> fn) {
+    on_message_ = std::move(fn);
+  }
 
   // Self-rescheduling periodic callback: fires at `first`, `first +
   // period`, ...  Returns a handle for cancel_every(); an uncancelled
@@ -149,10 +191,29 @@ class Engine {
     std::function<void(Time)> fn;
   };
 
+  // Queues `ev` (t, kind, payload set) with at()'s checks and clamp.
+  void push(ScheduledEvent ev);
+  void queue_firing(PeriodicId id, Time t);
   // Runs firing `t` of periodic `id` and queues the next one.
   void fire_periodic(PeriodicId id, Time t);
 
   std::vector<ScheduledEvent> heap_;  // min-heap via std::push_heap
+  // Queued kBoxed callbacks by slot; free_slots_ lists reusable ones.
+  std::vector<std::function<void()>> boxed_;
+  std::vector<std::uint64_t> free_slots_;
+  std::function<void(const Message*, std::size_t)> on_message_;
+  // Batches append to chunks_[chunk_].  A chunk whose batches have all
+  // run is reused, so memory stays near the batched messages in flight
+  // and a straggler pins only its own chunk.  A batch is copied out to
+  // running_ before it runs, so its handler may schedule more.
+  struct Chunk {
+    std::vector<Message> msgs;
+    std::uint32_t live = 0;  // queued batches
+  };
+  static constexpr std::size_t kChunk = 4096;  // messages
+  std::vector<Chunk> chunks_;
+  std::uint32_t chunk_ = 0;
+  std::vector<Message> running_;
   // The callbacks registered by every(), indexed by PeriodicId; queued
   // firings carry only the id, so emptying an entry (cancel_every) makes
   // its future firings no-ops.

@@ -21,6 +21,7 @@ ShardedEngine::ShardedEngine(std::size_t shards, Duration window)
     engines_.push_back(std::make_unique<Engine>());
   }
   outboxes_.assign(shards + 1, std::vector<std::vector<Post>>(shards));
+  inboxes_.resize(shards);
   errors_.assign(shards, nullptr);
   for (std::size_t s = 1; s < shards; ++s) {
     workers_.emplace_back([this, s] { worker_loop(s); });
@@ -41,13 +42,26 @@ void ShardedEngine::at(std::size_t shard, Time t, std::function<void()> fn) {
   engine.at(t, std::move(fn));
 }
 
+void ShardedEngine::at(std::size_t shard, Time t, const Message* batch,
+                       std::size_t count) {
+  (engines_.empty() ? globals_ : *engines_[shard]).at(t, batch, count);
+}
+
 void ShardedEngine::post(std::size_t src_ctx, std::size_t dst_shard, Time t,
-                         PostKey key, std::function<void()> fn) {
+                         PostKey key, const Message& m) {
   if (engines_.empty()) {
-    globals_.at(t, std::move(fn));
+    globals_.at(t, &m, 1);
     return;
   }
-  outboxes_[src_ctx][dst_shard].push_back(Post{t, key, std::move(fn)});
+  outboxes_[src_ctx][dst_shard].push_back(Post{t, key, m});
+}
+
+void ShardedEngine::set_message_handler(
+    const std::function<void(const Message*, std::size_t)>& fn) {
+  globals_.set_message_handler(fn);
+  for (std::unique_ptr<Engine>& engine : engines_) {
+    engine->set_message_handler(fn);
+  }
 }
 
 void ShardedEngine::at_global(Time t, std::function<void()> fn) {
@@ -66,20 +80,17 @@ void ShardedEngine::cancel_every_global(PeriodicId id) {
 void ShardedEngine::worker_loop(std::size_t shard) {
   std::uint64_t seen = 0;
   for (;;) {
+    Phase phase;
     Time target;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_work_.wait(lock, [&] { return stop_ || generation_ != seen; });
       if (stop_) return;
       seen = generation_;
+      phase = phase_;
       target = target_;
     }
-    try {
-      engines_[shard]->run_until(target);
-    } catch (...) {
-      const std::lock_guard<std::mutex> lock(mu_);
-      errors_[shard] = std::current_exception();
-    }
+    run_shard(shard, phase, target);
     {
       const std::lock_guard<std::mutex> lock(mu_);
       --remaining_;
@@ -88,32 +99,33 @@ void ShardedEngine::worker_loop(std::size_t shard) {
   }
 }
 
-void ShardedEngine::run_shards_to(Time target) {
-  if (engines_.size() == 1) {
-    engines_[0]->run_until(target);
-    return;
-  }
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    target_ = target;
-    remaining_ = engines_.size() - 1;
-    ++generation_;
-  }
-  cv_work_.notify_all();
-  // The coordinator doubles as shard 0's thread; its exception must not
-  // skip the rendezvous, or the workers of this window would outlive
-  // the call and race the barrier work.
-  std::exception_ptr coordinator_error;
+void ShardedEngine::run_shard(std::size_t shard, Phase phase, Time t) {
   try {
-    engines_[0]->run_until(target);
+    phase == Phase::kWindow ? engines_[shard]->run_until(t)
+                            : merge_inbox(shard, t);
   } catch (...) {
-    coordinator_error = std::current_exception();
+    errors_[shard] = std::current_exception();
   }
-  {
+}
+
+void ShardedEngine::run_phase(Phase phase, Time t) {
+  if (engines_.size() > 1) {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      phase_ = phase;
+      target_ = t;
+      remaining_ = engines_.size() - 1;
+      ++generation_;
+    }
+    cv_work_.notify_all();
+  }
+  // The coordinator doubles as shard 0's thread; its error must not
+  // skip the rendezvous, or the workers would race the barrier work.
+  run_shard(0, phase, t);
+  if (engines_.size() > 1) {
     std::unique_lock<std::mutex> lock(mu_);
     cv_done_.wait(lock, [&] { return remaining_ == 0; });
   }
-  if (coordinator_error) std::rethrow_exception(coordinator_error);
   for (std::exception_ptr& error : errors_) {
     if (error) {
       std::exception_ptr first = error;
@@ -123,43 +135,54 @@ void ShardedEngine::run_shards_to(Time target) {
   }
 }
 
-void ShardedEngine::merge_staged(Time barrier) {
-  const std::size_t k = engines_.size();
-  for (std::size_t dst = 0; dst < k; ++dst) {
-    merge_buf_.clear();
-    for (std::size_t src = 0; src <= k; ++src) {
-      std::vector<Post>& box = outboxes_[src][dst];
-      for (Post& post : box) merge_buf_.push_back(std::move(post));
-      box.clear();
+void ShardedEngine::merge_inbox(std::size_t dst, Time barrier) {
+  // The canonical order: the key is globally unique, so there are no
+  // ties for the gather order (which varies with K) to break.
+  const auto before = [](const Post& a, const Post& b) {
+    if (a.t != b.t) return a.t < b.t;
+    if (a.key.send_t != b.key.send_t) return a.key.send_t < b.key.send_t;
+    if (a.key.origin != b.key.origin) return a.key.origin < b.key.origin;
+    return a.key.index < b.key.index;
+  };
+  const auto later = [&before](const Cursor& a, const Cursor& b) {
+    return before(*b.next, *a.next);
+  };
+  std::vector<Cursor>& rows = inboxes_[dst].rows;  // a min-heap by next post
+  rows.clear();
+  for (std::vector<std::vector<Post>>& src : outboxes_) {
+    std::vector<Post>& row = src[dst];
+    if (row.empty()) continue;
+    // Sorted row by row: std::sort over the gathered rows falls back to
+    // heapsort on sorted runs ending in a short low tail.
+    if (!std::is_sorted(row.begin(), row.end(), before)) {
+      std::sort(row.begin(), row.end(), before);
     }
-    if (merge_buf_.empty()) continue;
-    // The canonical order: gather order (which varies with K) must not
-    // matter, and the key is globally unique, so this sort has no ties.
-    std::sort(merge_buf_.begin(), merge_buf_.end(),
-              [](const Post& a, const Post& b) {
-                if (a.t != b.t) return a.t < b.t;
-                if (a.key.send_t != b.key.send_t) {
-                  return a.key.send_t < b.key.send_t;
-                }
-                if (a.key.origin != b.key.origin) {
-                  return a.key.origin < b.key.origin;
-                }
-                return a.key.index < b.key.index;
-              });
-    for (Post& post : merge_buf_) {
-      if (post.t < barrier) {
-        throw std::logic_error(
-            "ShardedEngine: lookahead contract violated -- event staged for "
-            "t=" +
-            std::to_string(post.t) + " merged at barrier " +
-            std::to_string(barrier) +
-            " (delay model delivered faster than its declared floor)");
-      }
-      engines_[dst]->at(post.t, std::move(post.fn));
-      ++staged_;
-    }
-    merge_buf_.clear();
+    rows.push_back(Cursor{row.data(), row.data() + row.size()});
   }
+  std::make_heap(rows.begin(), rows.end(), later);
+  Engine& engine = *engines_[dst];
+  while (!rows.empty()) {
+    std::pop_heap(rows.begin(), rows.end(), later);
+    Cursor& row = rows.back();
+    const Post& post = *row.next++;
+    if (row.next == row.end) {
+      rows.pop_back();
+    } else {
+      std::push_heap(rows.begin(), rows.end(), later);
+    }
+    if (post.t < barrier) {
+      for (std::vector<std::vector<Post>>& src : outboxes_) src[dst].clear();
+      throw std::logic_error(
+          "ShardedEngine: lookahead contract violated -- event staged for "
+          "shard " +
+          std::to_string(dst) + " at t=" + std::to_string(post.t) +
+          " merged at barrier " + std::to_string(barrier) +
+          " (delay model delivered faster than its declared floor)");
+    }
+    engine.at(post.t, &post.msg, 1);
+    ++inboxes_[dst].merged;
+  }
+  for (std::vector<std::vector<Post>>& src : outboxes_) src[dst].clear();
 }
 
 void ShardedEngine::run_until(Time horizon) {
@@ -180,8 +203,9 @@ void ShardedEngine::run_until(Time horizon) {
     // `now` (a clamped stray) yields a zero-width round, which pops it
     // and guarantees progress on the next lap.
     if (globals_.next_time(&tg)) b = std::min(b, std::max(tg, now));
-    run_shards_to(std::nextafter(b, -std::numeric_limits<Time>::infinity()));
-    merge_staged(b);
+    run_phase(Phase::kWindow,
+              std::nextafter(b, -std::numeric_limits<Time>::infinity()));
+    run_phase(Phase::kMerge, b);
     globals_.run_until(b);
     ++windows_;
     max_pending_ = std::max<std::uint64_t>(max_pending_, pending());
@@ -191,8 +215,8 @@ void ShardedEngine::run_until(Time horizon) {
   // run_until is inclusive like Engine's: shard events at exactly the
   // horizon run now, and anything they stage is merged (for a later
   // call) before control returns.
-  run_shards_to(horizon);
-  merge_staged(horizon);
+  run_phase(Phase::kWindow, horizon);
+  run_phase(Phase::kMerge, horizon);
   max_pending_ = std::max<std::uint64_t>(max_pending_, pending());
 }
 
@@ -235,7 +259,7 @@ EngineStats ShardedEngine::stats() const {
   EngineStats s;
   s.max_pending = max_pending_;
   s.shard_windows = windows_;
-  s.shard_staged_events = staged_;
+  for (const Inbox& inbox : inboxes_) s.shard_staged_events += inbox.merged;
   return s;
 }
 

@@ -15,8 +15,8 @@
 //          b = min(now + window, horizon, next global event time);
 //   2. every shard drains its events with t < b in parallel (strictly
 //      less: the barrier time itself belongs to the next round);
-//   3. barrier.  Cross-shard events staged during the window are merged
-//      into their destination queues in a canonical order (below);
+//   3. barrier.  Every shard merges the events staged for it into its
+//      own queue in a canonical order (below), all shards in parallel;
 //   4. the globals engine runs inclusive to b on the coordinator --
 //      at equal times, globals run BEFORE shard events;
 //   5. repeat until b == horizon, then drain shard events at exactly
@@ -28,10 +28,12 @@
 //
 //   * every cross-entity event -- even one whose destination happens to
 //     live on the producing shard -- goes through post(), which stages
-//     it in a per-context outbox.  At the barrier, each destination's
-//     staged events are sorted by (t, key.send_t, key.origin,
-//     key.index); the key is globally unique (origin x running index),
-//     so the sort is a total order with no tie left to arrival order.
+//     it in a per-context outbox.  At the barrier, each destination
+//     queues its staged events in (t, key.send_t, key.origin,
+//     key.index) order; the key is globally unique (origin x running
+//     index), so that is a total order with no tie left to arrival
+//     order.  Rows are sorted one by one (only when out of order, which
+//     a constant delay never is) and k-way merged.
 //   * shard-local follow-ups (an entity rescheduling itself) use at(),
 //     which only ever interleaves same-time events of DIFFERENT
 //     entities; those touch disjoint state and stage their sends
@@ -58,11 +60,12 @@
 // instead of silently corrupting the order.
 //
 // Threading: shard 0 runs on the coordinator thread, shards 1..K-1 on
-// dedicated workers parked between windows.  Shard state is touched
-// only by its owner inside a window; everything else (merges, globals,
-// counters) happens on the coordinator with all workers parked, and
-// the barrier mutex orders those accesses, so the engine is clean
-// under ThreadSanitizer by construction.
+// dedicated workers parked between the two parallel phases of a round:
+// the window, and the merge, in which each shard owns the outbox column
+// outboxes_[*][own].  Everything else (globals, counters) happens on
+// the coordinator with all workers parked, and the barrier mutex
+// orders those accesses, so the engine is clean under ThreadSanitizer
+// by construction.
 #ifndef GCS_SIM_SHARDED_ENGINE_HPP
 #define GCS_SIM_SHARDED_ENGINE_HPP
 
@@ -80,10 +83,10 @@
 
 namespace gcs::sim {
 
-// Canonical identity of a staged cross-shard event: who produced it,
+// Canonical identity of a staged message event: who produced it,
 // when, and its running index among that producer's posts.  Globally
 // unique, and independent of how entities are partitioned into shards
-// -- which is what lets the barrier merge sort be a total order.
+// -- which is what makes the barrier merge order a total order.
 struct PostKey {
   Time send_t = 0.0;
   std::uint32_t origin = 0;
@@ -110,15 +113,23 @@ class ShardedEngine {
   // execution context during a window, or from the coordinator while
   // every shard is parked (construction, barriers, between runs).
   void at(std::size_t shard, Time t, std::function<void()> fn);
+  // Schedules a message event on `shard` unstaged (see Engine::at): a
+  // node's self-message, or any batch at zero shards.  Messages between
+  // entities go through post() at every shard count.
+  void at(std::size_t shard, Time t, const Message* batch,
+          std::size_t count);
 
-  // Stages an event for `dst_shard`, to be merged at the next barrier
+  // Stages message `m` for `dst_shard`, to be merged at the next barrier
   // under the canonical (t, key) order.  `src_ctx` is the CALLING
   // context (owning shard or global_ctx()); each context writes only
   // its own outbox row, so staging is lock-free.  The event time must
   // respect the lookahead contract (t >= barrier at merge time) or the
-  // merge throws std::logic_error.
+  // merge throws std::logic_error.  Zero shards queue `m` at once.
   void post(std::size_t src_ctx, std::size_t dst_shard, Time t, PostKey key,
-            std::function<void()> fn);
+            const Message& m);
+  // Runs every message event, on its shard's thread.
+  void set_message_handler(
+      const std::function<void(const Message*, std::size_t)>& fn);
 
   // Globals: events that may touch any shard's entities.  They execute
   // at barriers with every worker parked.  Coordinator-only.
@@ -128,7 +139,8 @@ class ShardedEngine {
   void cancel_every_global(PeriodicId id);
 
   // Runs every event with t <= horizon in barrier-window rounds.
-  // Rethrows (on the calling thread) anything a shard callback threw.
+  // Rethrows (on the calling thread) what a shard callback or merge
+  // threw, the lowest-index shard's first.
   void run_until(Time horizon);
 
   // Global virtual time: the last barrier (== horizon after run_until
@@ -164,12 +176,26 @@ class ShardedEngine {
   struct Post {
     Time t = 0.0;
     PostKey key;
-    std::function<void()> fn;
+    Message msg;
   };
+  // The k-way merge's cursor over one source row.
+  struct Cursor {
+    const Post* next;
+    const Post* end;
+  };
+  // One shard's merge scratch and count, on its own cache line.
+  struct alignas(64) Inbox {
+    std::vector<Cursor> rows;
+    std::uint64_t merged = 0;
+  };
+  enum class Phase { kWindow, kMerge };
 
   const Engine& first_clamper() const;
-  void run_shards_to(Time target);
-  void merge_staged(Time barrier);
+  // Runs `phase` to `t` on every shard in parallel, then rethrows the
+  // lowest-index shard's error.
+  void run_phase(Phase phase, Time t);
+  void run_shard(std::size_t shard, Phase phase, Time t);
+  void merge_inbox(std::size_t dst, Time barrier);
   void worker_loop(std::size_t shard);
 
   Duration window_;
@@ -178,21 +204,21 @@ class ShardedEngine {
   // outboxes_[src_ctx][dst_shard]; row global_ctx() belongs to the
   // coordinator.
   std::vector<std::vector<std::vector<Post>>> outboxes_;
-  std::vector<Post> merge_buf_;
+  std::vector<Inbox> inboxes_;  // one per shard
   std::uint64_t windows_ = 0;
-  std::uint64_t staged_ = 0;
   std::uint64_t max_pending_ = 0;
 
   // Worker pool (shards 1..K-1; empty when K == 1).  Workers park on
-  // cv_work_ between windows; a bumped generation_ releases them toward
-  // target_, and the coordinator waits on cv_done_ until remaining_
-  // hits zero.  The mutex hand-off is the happens-before edge that
-  // publishes window-side shard state to the coordinator and back.
+  // cv_work_ between phases; a bumped generation_ releases them into
+  // phase_ toward target_, and the coordinator waits on cv_done_ until
+  // remaining_ hits zero.  The mutex hand-off is the happens-before edge
+  // that publishes each phase's shard state to the coordinator and back.
   std::vector<std::thread> workers_;
   std::mutex mu_;
   std::condition_variable cv_work_;
   std::condition_variable cv_done_;
   std::uint64_t generation_ = 0;
+  Phase phase_ = Phase::kWindow;
   Time target_ = 0.0;
   std::size_t remaining_ = 0;
   bool stop_ = false;

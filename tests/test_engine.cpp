@@ -488,4 +488,46 @@ TEST(EngineTest, EarlierAtAfterEmptyRunIsServedFirst) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 0}));
 }
 
+// Message events share the (t, seq) stream with boxed callbacks; a
+// batch reaches the handler in one call, in order, and its handler may
+// schedule further batches while the engine's pools turn over.
+TEST(EngineTest, MessageBatchesRunTogetherInOrder) {
+  using gcs::sim::Message;
+  Engine engine;
+  std::vector<std::pair<double, std::vector<std::uint32_t>>> calls;
+  engine.set_message_handler([&](const Message* batch, std::size_t count) {
+    std::vector<std::uint32_t> to;
+    for (std::size_t i = 0; i < count; ++i) to.push_back(batch[i].to);
+    calls.emplace_back(engine.now(), to);
+  });
+  const Message three[] = {{0, 1, 0.0, 1}, {0, 2, 0.0, 1}, {0, 3, 0.0, 1}};
+  const Message two[] = {{4, 5, 0.0, 1}, {4, 6, 0.0, 1}};
+  engine.at(1.0, three, 3);
+  engine.at(1.0, [&] {
+    calls.emplace_back(-1.0, std::vector<std::uint32_t>{});
+  });
+  engine.at(1.0, two, 1);
+  engine.at(0.5, two, 2);
+  EXPECT_EQ(engine.pending(), 4u);
+  engine.run_until(2.0);
+  const std::vector<std::pair<double, std::vector<std::uint32_t>>> want = {
+      {0.5, {5, 6}}, {1.0, {1, 2, 3}}, {-1.0, {}}, {1.0, {5}}};
+  EXPECT_EQ(calls, want);
+
+  // A chain of 1000 batches, each scheduled by the one before it from
+  // inside the handler.
+  int runs = 0;
+  engine.set_message_handler([&](const Message* batch, std::size_t count) {
+    ASSERT_EQ(count, 3u);
+    EXPECT_EQ(batch[0].to, 1u);
+    EXPECT_EQ(batch[2].to, 3u);
+    if (++runs < 1000) engine.at(engine.now() + 1.0, batch, count);
+  });
+  engine.at(3.0, three, 3);
+  engine.run_until(5000.0);
+  EXPECT_EQ(runs, 1000);
+  EXPECT_EQ(engine.pending(), 0u);
+  EXPECT_EQ(engine.clamped_count(), 0u);
+}
+
 }  // namespace
